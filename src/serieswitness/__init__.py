@@ -51,7 +51,6 @@ from .ideals import (
     exceedance_report,
     explicit_talagrand,
     fin_ideal,
-    finite_member,
     geometric_talagrand,
     i_bounded_verdict,
     interval,

@@ -20,6 +20,7 @@ from .ideals import (
     IdealSpec,
     TalagrandSequence,
     exceedance_report,
+    verdict_status,
 )
 from .series import catalog_series, partial_sums
 from .stems import (
@@ -272,13 +273,7 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
         issues.append(
             f"contained intervals recompute to {list(report.contained_intervals)}"
         )
-    threshold = int(result["threshold"])
-    if not report.exceed_set:
-        status = "bounded-evidence"
-    elif report.interval_count >= threshold:
-        status = "i-unbounded-evidence"
-    else:
-        status = "undecided"
+    status = verdict_status(report, int(result["threshold"]))
     if status != result["status"]:
         issues.append(f"verdict status recomputes to {status!r}")
     if report.interval_count != result["interval_count"]:

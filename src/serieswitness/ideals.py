@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .series import HorizonExceedsStem, PartialSumTrace, SeriesOracle, partial_sums
 from .spaces import DELTA
 from .stems import IndexerStem
@@ -34,8 +36,8 @@ __all__ = [
     "default_talagrand",
     "interval",
     "density_at",
-    "finite_member",
     "exceedance_report",
+    "verdict_status",
     "i_bounded_verdict",
     "DEFAULT_EVIDENCE_THRESHOLD",
 ]
@@ -87,6 +89,16 @@ class TalagrandSequence:
     def max_k(self) -> int | None:
         """Last usable interval index, None when unbounded."""
         return len(self.values) - 1 if self.label == "explicit" else None
+
+    def values_through(self, limit: int) -> np.ndarray:
+        """n_1, n_2, ... up to and including the first value above limit
+        (or the last explicit value)."""
+        if self.label == "linear":
+            return np.arange(1, limit + 2, dtype=np.int64)
+        if self.label == "geometric":
+            return 2 ** np.arange(1, limit.bit_length() + 1, dtype=np.int64)
+        values = np.array(self.values, dtype=np.int64)
+        return values[: np.searchsorted(values, limit, side="right") + 1]
 
 
 def geometric_talagrand() -> TalagrandSequence:
@@ -169,17 +181,6 @@ def density_at(members: Iterable[int], n: int) -> float:
     return count / n
 
 
-def finite_member(ideal: IdealSpec, members: Iterable[int]) -> bool:
-    """Membership decision restricted to finite sets.
-
-    Every ideal considered here contains all finite sets, so this is
-    constantly true; it exists so the closure axioms can be exercised on
-    the decidable fragment.
-    """
-    set(members)
-    return True
-
-
 @dataclass(frozen=True)
 class ExceedanceReport:
     """Positions whose partial-sum norm breaks the bound, with the fully
@@ -211,25 +212,17 @@ def exceedance_report(
         raise GapInTrace("trace must cover 1..horizon without gaps")
     horizon = trace.horizon
     mask = trace.norms > bound + DELTA
-    exceed = frozenset(int(p) for p in trace.positions[mask])
-    contained: list[int] = []
-    k = 1
-    while True:
-        if seq.max_k() is not None and k > seq.max_k():
-            break
-        window = interval(seq, k)
-        if window.start > horizon:
-            break
-        if window.stop - 1 <= horizon and all(
-            bool(mask[l - 1]) for l in window
-        ):
-            contained.append(k)
-        k += 1
+    exceeding = np.concatenate(([0], np.cumsum(mask)))
+    cuts = seq.values_through(horizon)
+    starts, stops = cuts[:-1], cuts[1:]
+    ends = np.minimum(stops - 1, horizon)
+    full = exceeding[ends] - exceeding[starts - 1] == stops - starts
+    contained = np.flatnonzero(full) + 1
     return ExceedanceReport(
         bound=float(bound),
         horizon=horizon,
-        exceed_set=exceed,
-        contained_intervals=tuple(contained),
+        exceed_set=frozenset(trace.positions[mask].tolist()),
+        contained_intervals=tuple(contained.tolist()),
         talagrand=seq,
     )
 
@@ -256,6 +249,15 @@ class BoundednessVerdict:
     report: ExceedanceReport
 
 
+def verdict_status(report: ExceedanceReport, threshold: int) -> str:
+    """The status a BoundednessVerdict with this report and threshold has."""
+    if not report.exceed_set:
+        return BOUNDED_EVIDENCE
+    if report.interval_count >= threshold:
+        return I_UNBOUNDED_EVIDENCE
+    return UNDECIDED
+
+
 def i_bounded_verdict(
     series: SeriesOracle,
     indexer: IndexerStem,
@@ -274,14 +276,8 @@ def i_bounded_verdict(
     trace = partial_sums(series, indexer, horizon)
     sequence = seq if seq is not None else ideal_talagrand(ideal)
     report = exceedance_report(trace, bound, sequence)
-    if not report.exceed_set:
-        status = BOUNDED_EVIDENCE
-    elif report.interval_count >= threshold:
-        status = I_UNBOUNDED_EVIDENCE
-    else:
-        status = UNDECIDED
     return BoundednessVerdict(
-        status=status,
+        status=verdict_status(report, threshold),
         bound=float(bound),
         horizon=horizon,
         interval_count=report.interval_count,

@@ -25,6 +25,7 @@ from .series import SeriesOracle, catalog_series
 from .stems import RearrStem, SelectionStem, SubseqStem
 from .witnesses import (
     PreconditionViolation,
+    ScanExhausted,
     default_scan_horizon,
     dense_open_witness_Am,
     dense_open_witness_Bm,
@@ -48,6 +49,10 @@ CONSTRUCTIONS = (
     "limsup-subseries",
     "i-bounded",
 )
+
+# The candidate stream ends inside the scan horizon before it can seed the
+# open set's base stem: a finite search came up short, so this is exhaustion.
+_TOO_FEW_CANDIDATES = "not enough candidate indices to seed the base stem"
 
 
 def _sequence_from_name(name: str) -> TalagrandSequence:
@@ -163,9 +168,7 @@ def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
         seq = _sequence_from_name(config["talagrand"])
         stream = provision_candidate_stream(series, horizon)
         if len(stream) < m + 2:
-            raise PreconditionViolation(
-                "not enough candidate indices to seed the base stem"
-            )
+            raise ScanExhausted("dense-open-Bm", _TOO_FEW_CANDIDATES, horizon)
         base = stream.prefix(m + 1)
         return "witness", dense_open_witness_Bm(
             series, seq, stream, m, base, horizon
@@ -177,9 +180,7 @@ def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
         stream = provision_candidate_stream(series, horizon)
         r = max(m + 1, 4)
         if len(stream) < r:
-            raise PreconditionViolation(
-                "not enough candidate indices to seed the base stem"
-            )
+            raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
         base = RearrStem.from_values(stream.to_numpy(r))
         stem, checkpoints = _certified_pipeline(series, m + 1, horizon)
         return "witness", dense_open_witness_Cm(

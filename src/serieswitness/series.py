@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .spaces import (
+    DELTA,
     FiniteSupportVector,
     SpaceSpec,
     basis,
-    norm,
     real_line,
-    scalar,
     sequence_space,
 )
 from .stems import (
@@ -41,6 +40,8 @@ __all__ = [
     "partial_sums",
     "prefix_norms",
     "norms_at",
+    "first_crossing",
+    "max_norm",
     "extend_to_prefix_bijection",
     "stem_kind",
 ]
@@ -58,7 +59,12 @@ class HorizonExceedsStem(ValueError):
 
 @dataclass(frozen=True)
 class SeriesOracle:
-    """Deterministic term rule n -> x_n plus declared growth metadata.
+    """Deterministic columnar term rule plus declared growth metadata.
+
+    `rule` maps an int64 array of series indices to the coordinate array
+    and the coefficient array of those terms: every term is one
+    coefficient on one coordinate (always coordinate 1 on the real line),
+    and sequence-space series carry the sup norm.
 
     The metadata flags are claims made by the catalog entry, consumed as
     preconditions by the witness constructions: liminf_norm_zero says the
@@ -71,13 +77,11 @@ class SeriesOracle:
     description: str
     liminf_norm_zero: bool
     limsup_norm_infinite: bool
-    term_rule: Callable[[int], FiniteSupportVector] = field(repr=False)
-    scalar_rule: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    term_norm_rule: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
+    rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.is_scalar and self.space.exponent != math.inf:
+            raise ValueError("sequence-space series carry the sup norm")
 
     @property
     def is_scalar(self) -> bool:
@@ -86,41 +90,30 @@ class SeriesOracle:
     def term(self, n: int) -> FiniteSupportVector:
         if n < 1:
             raise ValueError("series terms are indexed from 1")
-        return self.term_rule(n)
+        coords, coeffs = self.columns([n])
+        return basis(int(coords[0]), float(coeffs[0]))
 
-    def scalar_terms(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized terms for real-line series."""
-        if self.scalar_rule is None:
-            raise ValueError(f"{self.name} is not a scalar series")
-        return self.scalar_rule(indices.astype(np.float64))
+    def columns(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates and coefficients of the terms at the given indices."""
+        return self.rule(np.asarray(indices, dtype=np.int64))
 
     def term_norms(self, indices: np.ndarray) -> np.ndarray:
-        if self.term_norm_rule is not None:
-            return self.term_norm_rule(indices.astype(np.float64))
-        return np.array(
-            [norm(self.space, self.term(int(n))) for n in indices], dtype=np.float64
-        )
+        return np.abs(self.columns(indices)[1])
 
 
-def _alt_harmonic_term(n: int) -> FiniteSupportVector:
-    return scalar((1.0 if n % 2 == 0 else -1.0) / n)
+def _signs(n: np.ndarray) -> np.ndarray:
+    """(-1)^n as float64, read off the parity bit of int64 indices."""
+    return 1.0 - 2.0 * (n & 1)
 
 
-def _unit_basis_term(n: int) -> FiniteSupportVector:
-    return basis(n)
+def _on_line(n: np.ndarray) -> np.ndarray:
+    """Coordinate 1 for every index, as a read-only view without storage."""
+    return np.broadcast_to(np.int64(1), n.shape)
 
 
-def _decaying_signed_term(n: int) -> FiniteSupportVector:
+def _decaying_signed(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = (n + 1) // 2
-    return basis(m, (1.0 if n % 2 == 0 else -1.0) / m)
-
-
-def _growing_real_term(n: int) -> FiniteSupportVector:
-    return scalar(float(n) if n % 2 == 0 else -float(n))
-
-
-def _signs(values: np.ndarray) -> np.ndarray:
-    return np.where(values % 2 == 0, 1.0, -1.0)
+    return m, _signs(n) / m
 
 
 _CATALOG: dict[str, SeriesOracle] = {
@@ -130,9 +123,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n / n, the canonical conditionally convergent real series",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
-        term_rule=_alt_harmonic_term,
-        scalar_rule=lambda v: _signs(v) / v,
-        term_norm_rule=lambda v: 1.0 / v,
+        rule=lambda n: (_on_line(n), _signs(n) / n),
     ),
     "unit-basis-c0": SeriesOracle(
         name="unit-basis-c0",
@@ -143,8 +134,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         ),
         liminf_norm_zero=False,
         limsup_norm_infinite=False,
-        term_rule=_unit_basis_term,
-        term_norm_rule=lambda v: np.ones_like(v),
+        rule=lambda n: (n, np.ones(n.shape)),
     ),
     "decaying-signed-c0": SeriesOracle(
         name="decaying-signed-c0",
@@ -152,8 +142,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n e_ceil(n/2) / ceil(n/2) under the sup norm",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
-        term_rule=_decaying_signed_term,
-        term_norm_rule=lambda v: 1.0 / np.ceil(v / 2.0),
+        rule=_decaying_signed,
     ),
     "growing-real": SeriesOracle(
         name="growing-real",
@@ -161,9 +150,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n * n, term norms blow up",
         liminf_norm_zero=False,
         limsup_norm_infinite=True,
-        term_rule=_growing_real_term,
-        scalar_rule=lambda v: _signs(v) * v,
-        term_norm_rule=lambda v: v.astype(np.float64),
+        rule=lambda n: (_on_line(n), _signs(n) * n),
     ),
 }
 
@@ -229,112 +216,131 @@ class PartialSumTrace:
         )
 
 
-def _stem_term_stream(
+def _term_chunks(
     series: SeriesOracle, indexer: IndexerStem, horizon: int
-) -> Iterable[tuple[np.ndarray, np.ndarray | None]]:
-    """Yield (series index chunk, weight chunk or None) covering 1..horizon."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(coordinates, coefficients) of the summands at positions 1..horizon,
+    chunk by chunk; a selection stem weights term i by its i-th bit."""
     if isinstance(indexer, SelectionStem):
         bits = indexer.to_numpy()[:horizon]
-        for lo in range(0, horizon, _CHUNK):
-            hi = min(horizon, lo + _CHUNK)
-            idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            yield idx, bits[lo:hi].astype(np.float64)
+        for lo in range(0, bits.size, _CHUNK):
+            hi = min(bits.size, lo + _CHUNK)
+            coords, coeffs = series.columns(np.arange(lo + 1, hi + 1, dtype=np.int64))
+            yield coords, coeffs * bits[lo:hi]
     else:
         produced = 0
         for chunk in indexer.iter_chunks(_CHUNK):
             if produced >= horizon:
                 break
             take = min(chunk.size, horizon - produced)
-            yield chunk[:take], None
+            yield series.columns(chunk[:take])
             produced += take
 
 
-def _scalar_norm_engine(
-    series: SeriesOracle,
-    indexer: IndexerStem,
-    positions: np.ndarray,
+def _cover_max(
+    starts: np.ndarray, stops: np.ndarray, values: np.ndarray, length: int
 ) -> np.ndarray:
-    horizon = int(positions[-1])
-    out = np.empty(positions.size, dtype=np.float64)
+    """out[t] = max of values[j] over the j with starts[j] <= t < stops[j]
+    (0.0 where there is none), through a segment tree over 0..length-1."""
+    size = 1 << max(length - 1, 0).bit_length()
+    tree = np.zeros(2 * size)
+    lo, hi = starts + size, stops + size
+    while True:
+        live = lo < hi
+        if not live.any():
+            break
+        left = live & (lo & 1).astype(bool)
+        np.maximum.at(tree, lo[left], values[left])
+        lo = lo + left
+        right = live & (hi & 1).astype(bool)
+        hi = hi - right
+        np.maximum.at(tree, hi[right], values[right])
+        lo, hi = lo >> 1, hi >> 1
+    for depth in range(size.bit_length() - 1):
+        parents = tree[1 << depth: 2 << depth]
+        children = tree[2 << depth: 4 << depth].reshape(-1, 2)
+        np.maximum(children, parents[:, None], out=children)
+    return tree[size: size + length]
+
+
+def _sup_chunk(
+    coords: np.ndarray, coeffs: np.ndarray, keys: np.ndarray, held: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running sup norms over one chunk of single-coordinate terms.
+
+    (keys, held) is the running sum so far, as sorted coordinates and their
+    values; it is returned updated.  Each coordinate is summed term by term
+    in stem order, so every value is the one a sequential sparse sum gives.
+    """
+    length = coords.size
+    order = np.argsort(coords, kind="stable")
+    coord = coords[order]
+    first = np.r_[True, coord[1:] != coord[:-1]]
+    last = np.r_[coord[1:] != coord[:-1], True]
+    touched = coord[first]
+    where = np.searchsorted(keys, touched)
+    found = where < keys.size
+    found[found] = keys[where[found]] == touched[found]
+    prior = np.zeros(touched.size)
+    prior[found] = held[where[found]]
+    sums = coeffs[order]
+    sums[first] += prior
+    steps = np.arange(length)
+    rank = steps - np.maximum.accumulate(np.where(first, steps, 0))
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = by_rank[lo:hi]
+        sums[at] += sums[at - 1]
+    # every value lives from its update to the next update of its coordinate
+    stops = np.r_[order[1:], length]
+    stops[last] = length
+    untouched = np.ones(keys.size, dtype=bool)
+    untouched[where[found]] = False
+    floor = float(np.abs(held[untouched]).max(initial=0.0))
+    starts = np.r_[order, np.zeros(int(found.sum()), dtype=np.int64)]
+    stops = np.r_[stops, order[first][found]]
+    values = np.abs(np.r_[sums, prior[found]])
+    keep = values > floor
+    norms = _cover_max(starts[keep], stops[keep], values[keep], length)
+    np.maximum(norms, floor, out=norms)
+    keys = np.r_[keys[untouched], coord[last]]
+    held = np.r_[held[untouched], sums[last]]
+    ordered = np.argsort(keys, kind="stable")
+    return norms, keys[ordered], held[ordered]
+
+
+def _norm_chunks(
+    series: SeriesOracle, indexer: IndexerStem, horizon: int
+) -> Iterator[np.ndarray]:
+    """The single partial-sum engine: norms of the running partial sums at
+    positions 1..horizon, one array per chunk, ending early with the stem.
+
+    A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
+    of the arithmetic and every reduction below shares it."""
     running = 0.0
+    keys, held = np.empty(0, dtype=np.int64), np.empty(0)
+    for coords, coeffs in _term_chunks(series, indexer, horizon):
+        if series.is_scalar:
+            csum = np.cumsum(coeffs)
+            csum += running
+            running = float(csum[-1])
+            yield np.abs(csum, out=csum)
+        else:
+            norms, keys, held = _sup_chunk(coords, coeffs, keys, held)
+            yield norms
+
+
+def _norms_between(
+    series: SeriesOracle, indexer: IndexerStem, start_pos: int, end_pos: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first position, norms) for the positions start_pos..end_pos."""
     covered = 0
-    writer = 0
-    for idx, weights in _stem_term_stream(series, indexer, horizon):
-        terms = series.scalar_terms(idx)
-        if weights is not None:
-            terms = terms * weights
-        csum = running + np.cumsum(terms)
-        running = float(csum[-1])
-        lo, hi = covered + 1, covered + idx.size
-        while writer < positions.size and lo <= positions[writer] <= hi:
-            out[writer] = abs(csum[positions[writer] - 1 - covered])
-            writer += 1
-        covered = hi
-    if writer != positions.size:
-        raise HorizonExceedsStem(
-            f"stem of length {covered} cannot reach position {int(positions[writer])}"
-        )
-    return out
-
-
-class _SparseAccumulator:
-    """Running sparse sum with norm tracking for sequence-space series."""
-
-    def __init__(self, space: SpaceSpec) -> None:
-        self.space = space
-        self.coeffs: dict[int, float] = {}
-        self._max = 0.0
-        self._powsum = 0.0
-
-    def add(self, vector: FiniteSupportVector) -> None:
-        sup = self.space.exponent == math.inf
-        p = self.space.exponent
-        for index, coeff in vector.entries:
-            old = self.coeffs.get(index, 0.0)
-            new = old + coeff
-            if new == 0.0:
-                self.coeffs.pop(index, None)
-            else:
-                self.coeffs[index] = new
-            if sup:
-                if abs(new) >= self._max:
-                    self._max = abs(new)
-                elif abs(old) == self._max:
-                    self._max = max(
-                        (abs(c) for c in self.coeffs.values()), default=0.0
-                    )
-            else:
-                self._powsum += abs(new) ** p - abs(old) ** p
-
-    def norm(self) -> float:
-        if self.space.exponent == math.inf:
-            return self._max
-        return max(self._powsum, 0.0) ** (1.0 / self.space.exponent)
-
-
-def _vector_norm_engine(
-    series: SeriesOracle,
-    indexer: IndexerStem,
-    positions: np.ndarray,
-) -> np.ndarray:
-    horizon = int(positions[-1])
-    acc = _SparseAccumulator(series.space)
-    out = np.empty(positions.size, dtype=np.float64)
-    writer = 0
-    position = 0
-    for idx, weights in _stem_term_stream(series, indexer, horizon):
-        for offset, n in enumerate(idx):
-            position += 1
-            if weights is None or weights[offset]:
-                acc.add(series.term(int(n)))
-            if writer < positions.size and positions[writer] == position:
-                out[writer] = acc.norm()
-                writer += 1
-    if writer != positions.size:
-        raise HorizonExceedsStem(
-            f"stem of length {position} cannot reach position {int(positions[writer])}"
-        )
-    return out
+    for norms in _norm_chunks(series, indexer, end_pos):
+        skip = max(start_pos - 1 - covered, 0)
+        if skip < norms.size:
+            yield covered + skip + 1, norms[skip:]
+        covered += norms.size
 
 
 def norms_at(
@@ -344,9 +350,8 @@ def norms_at(
 ) -> np.ndarray:
     """Norms of the partial sums at the given 1-based stem positions.
 
-    This is the single evaluation engine: constructions record values
-    computed here and verification recomputes through the same path, so
-    certificates round-trip bit for bit.
+    Constructions record values computed here and verification recomputes
+    through the same engine, so certificates round-trip bit for bit.
     """
     pos = np.asarray(positions, dtype=np.int64)
     if pos.size == 0:
@@ -354,11 +359,49 @@ def norms_at(
     if pos.min() < 1:
         raise ValueError("positions are 1-based")
     unique, inverse = np.unique(pos, return_inverse=True)
-    if series.is_scalar:
-        values = _scalar_norm_engine(series, indexer, unique)
-    else:
-        values = _vector_norm_engine(series, indexer, unique)
-    return values[inverse]
+    out = np.empty(unique.size, dtype=np.float64)
+    covered = 0
+    for norms in _norm_chunks(series, indexer, int(unique[-1])):
+        lo, hi = np.searchsorted(unique, [covered + 1, covered + norms.size + 1])
+        out[lo:hi] = norms[unique[lo:hi] - 1 - covered]
+        covered += norms.size
+    if covered < unique[-1]:
+        missing = int(unique[np.searchsorted(unique, covered + 1)])
+        raise HorizonExceedsStem(
+            f"stem of length {covered} cannot reach position {missing}"
+        )
+    return out[inverse]
+
+
+def first_crossing(
+    series: SeriesOracle,
+    indexer: IndexerStem,
+    threshold: float,
+    *,
+    strict: bool,
+    start_pos: int = 1,
+    end_pos: int | None = None,
+) -> int | None:
+    """First position in [start_pos, end_pos] whose partial-sum norm passes
+    the threshold (> threshold + DELTA if strict, else >= threshold)."""
+    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
+    for first, norms in _norms_between(series, indexer, start_pos, end_pos):
+        hits = norms > threshold + DELTA if strict else norms >= threshold
+        if hits.any():
+            return first + int(np.argmax(hits))
+    return None
+
+
+def max_norm(
+    series: SeriesOracle,
+    indexer: IndexerStem,
+    start_pos: int = 1,
+    end_pos: int | None = None,
+) -> float:
+    """Largest partial-sum norm over positions start_pos..end_pos, 0.0 if none."""
+    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
+    chunks = _norms_between(series, indexer, start_pos, end_pos)
+    return max((float(norms.max()) for _, norms in chunks), default=0.0)
 
 
 def prefix_norms(

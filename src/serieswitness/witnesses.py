@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ideals import TalagrandSequence, interval
-from .series import SeriesOracle, norms_at
+from .series import SeriesOracle, first_crossing, max_norm, norms_at
 from .spaces import DELTA, SpaceSpec
 from .stems import (
     IndexerStem,
@@ -216,88 +216,6 @@ def _check_strategy(series: SeriesOracle, oracle: GrowthOracle) -> None:
 # shared scanning helpers
 
 
-def _first_crossing(
-    series: SeriesOracle,
-    stem: IndexerStem,
-    threshold: float,
-    *,
-    strict: bool,
-    start_pos: int = 1,
-    end_pos: int | None = None,
-) -> tuple[int, float] | None:
-    """First position in [start_pos, end_pos] where the running partial-sum
-    norm passes the threshold, or None."""
-    total = len(stem)
-    end_pos = total if end_pos is None else min(end_pos, total)
-    if start_pos > end_pos:
-        return None
-    if series.is_scalar and not isinstance(stem, SelectionStem):
-        running = 0.0
-        pos = 0
-        for chunk in stem.iter_chunks(_CHUNK):
-            if pos >= end_pos:
-                break
-            terms = series.scalar_terms(chunk)
-            if pos + chunk.size < start_pos:
-                running += float(np.sum(terms))
-                pos += chunk.size
-                continue
-            cs = running + np.cumsum(terms)
-            lo = max(start_pos - pos - 1, 0)
-            hi = min(chunk.size, end_pos - pos)
-            region = np.abs(cs[lo:hi])
-            mask = region > threshold + DELTA if strict else region >= threshold
-            if mask.any():
-                i = int(np.argmax(mask))
-                return pos + lo + i + 1, float(region[i])
-            running = float(cs[-1])
-            pos += chunk.size
-        return None
-
-    from .series import _SparseAccumulator, _stem_term_stream  # shared engine
-
-    acc = _SparseAccumulator(series.space)
-    position = 0
-    for idx, weights in _stem_term_stream(series, stem, end_pos):
-        for offset, n in enumerate(idx):
-            position += 1
-            if weights is None or weights[offset]:
-                acc.add(series.term(int(n)))
-            if position >= start_pos:
-                value = acc.norm()
-                ok = value > threshold + DELTA if strict else value >= threshold
-                if ok:
-                    return position, value
-    return None
-
-
-def _max_norm_along(
-    series: SeriesOracle, stem: IndexerStem, end_pos: int | None = None
-) -> float:
-    """Largest running partial-sum norm over a stem prefix (for exhaustion
-    reports)."""
-    total = len(stem)
-    end_pos = total if end_pos is None else min(end_pos, total)
-    if end_pos == 0:
-        return 0.0
-    if series.is_scalar and not isinstance(stem, SelectionStem):
-        best = 0.0
-        running = 0.0
-        pos = 0
-        for chunk in stem.iter_chunks(_CHUNK):
-            if pos >= end_pos:
-                break
-            take = min(chunk.size, end_pos - pos)
-            cs = running + np.cumsum(series.scalar_terms(chunk[:take]))
-            best = max(best, float(np.abs(cs).max()))
-            running = float(cs[-1])
-            pos += take
-        return best
-    from .series import prefix_norms
-
-    return float(prefix_norms(series, stem, end_pos).max())
-
-
 def _first_index_with_norm_below(
     series: SeriesOracle, after: int, threshold: float, horizon: int
 ) -> int | None:
@@ -427,17 +345,20 @@ def _threshold_chain(b: float, target: float) -> list[float]:
     return chain
 
 
-def _greedy_candidates(
-    series: SeriesOracle, positive: bool, after: int, horizon: int
-):
-    lo = after + 1
+def _candidate_chunks(series: SeriesOracle, oracle: GrowthOracle, horizon: int):
+    """(indices, coefficients) of the streaming strategy's candidates in
+    1..horizon: the terms feeding its coordinate (1 on the real line) with
+    its sign, positive unless the strategy is greedy-negative."""
+    coordinate = 1 if series.is_scalar else oracle.coordinate
+    sign = -1.0 if oracle.strategy == GREEDY_NEGATIVE else 1.0
+    lo = 1
     while lo <= horizon:
         hi = min(horizon, lo + _CHUNK - 1)
         idx = np.arange(lo, hi + 1, dtype=np.int64)
-        terms = series.scalar_terms(idx)
-        mask = terms > 0 if positive else terms < 0
+        coords, coeffs = series.columns(idx)
+        mask = (coords == coordinate) & (sign * coeffs > 0)
         if mask.any():
-            yield idx[mask], terms[mask]
+            yield idx[mask], coeffs[mask]
         lo = hi + 1
 
 
@@ -447,113 +368,59 @@ def _grow_streaming(
     target: float,
     horizon: int,
 ) -> WitnessCertificate:
-    if oracle.strategy in (GREEDY_POSITIVE, GREEDY_NEGATIVE):
-        chunks = _greedy_candidates(
-            series, oracle.strategy == GREEDY_POSITIVE, 0, horizon
-        )
-
-        def consume():
-            for idx, terms in chunks:
-                yield idx, np.cumsum(terms)
-
-        stream = consume()
-        collected: list[np.ndarray] = []
-        raw: list[tuple[int, float, str]] = []
-        running = 0.0
-        count = 0
-        pending: list[float] | None = None
-        for idx, csum in stream:
-            values = np.abs(running + csum)
-            if pending is None:
-                b = float(values[0])
-                if b <= DELTA:
-                    raise ScanExhausted(
-                        "grow-subseries", "no term with positive norm", horizon
-                    )
-                raw.append((count + 1, b, ">="))
-                pending = _threshold_chain(b, target)
-            done_at = None
-            while pending:
-                t = pending[0]
-                final = t == pending[-1] and t >= target
-                if final:
-                    i = int(np.searchsorted(values, target + DELTA, side="right"))
-                else:
-                    i = int(np.searchsorted(values, t, side="left"))
-                if i >= values.size:
-                    break
-                raw.append((count + i + 1, t, ">" if final else ">="))
-                pending.pop(0)
-                if not pending:
-                    done_at = i
-            if done_at is not None:
-                collected.append(idx[: done_at + 1])
-                stem = SubseqStem.from_values(np.concatenate(collected))
-                checkpoints = _canonical_checkpoints(series, stem, raw)
-                return WitnessCertificate(
-                    construction="grow-subseries",
-                    series_name=series.name,
-                    stem=stem,
-                    checkpoints=checkpoints,
-                    details=(
-                        ("target", float(target)),
-                        ("strategy", oracle.strategy),
-                    ),
-                )
-            collected.append(idx)
-            running = float(running + csum[-1])
-            count += idx.size
-        raise ScanExhausted(
-            "grow-subseries",
-            f"target {target:g} not reached",
-            horizon,
-            best=abs(running),
-        )
-
-    # per-coordinate: walk the indices feeding one coordinate positively
-    picks: list[int] = []
-    raw = []
-    from .series import _SparseAccumulator
-
-    acc = _SparseAccumulator(series.space)
-    pending = None
-    best = 0.0
-    for n in range(1, horizon + 1):
-        coeff = series.term(n).coefficient(oracle.coordinate)
-        if coeff <= 0:
-            continue
-        picks.append(n)
-        acc.add(series.term(n))
-        value = acc.norm()
-        best = max(best, value)
+    # Every candidate feeds one coordinate with one sign, so the running
+    # norm along them is |running sum| and climbs monotonically.
+    collected: list[np.ndarray] = []
+    raw: list[tuple[int, float, str]] = []
+    running = 0.0
+    count = 0
+    pending: list[float] | None = None
+    for idx, coeffs in _candidate_chunks(series, oracle, horizon):
+        csum = np.cumsum(coeffs)
+        values = np.abs(running + csum)
         if pending is None:
-            if value <= DELTA:
-                continue
-            raw.append((len(picks), value, ">="))
-            pending = _threshold_chain(value, target)
+            b = float(values[0])
+            if b <= DELTA:
+                raise ScanExhausted(
+                    "grow-subseries", "no term with positive norm", horizon
+                )
+            raw.append((count + 1, b, ">="))
+            pending = _threshold_chain(b, target)
+        done_at = None
         while pending:
             t = pending[0]
             final = t == pending[-1] and t >= target
-            ok = value > target + DELTA if final else value >= t
-            if not ok:
+            if final:
+                i = int(np.searchsorted(values, target + DELTA, side="right"))
+            else:
+                i = int(np.searchsorted(values, t, side="left"))
+            if i >= values.size:
                 break
-            raw.append((len(picks), t, ">" if final else ">="))
+            raw.append((count + i + 1, t, ">" if final else ">="))
             pending.pop(0)
-        if pending == []:
-            stem = SubseqStem.from_values(picks)
+            if not pending:
+                done_at = i
+        if done_at is not None:
+            collected.append(idx[: done_at + 1])
+            stem = SubseqStem.from_values(np.concatenate(collected))
+            details = (("target", float(target)), ("strategy", oracle.strategy))
+            if oracle.strategy == PER_COORDINATE:
+                details += (("coordinate", oracle.coordinate),)
             return WitnessCertificate(
                 construction="grow-subseries",
                 series_name=series.name,
                 stem=stem,
                 checkpoints=_canonical_checkpoints(series, stem, raw),
-                details=(
-                    ("target", float(target)),
-                    ("strategy", oracle.strategy),
-                    ("coordinate", oracle.coordinate),
-                ),
+                details=details,
             )
+        collected.append(idx)
+        running = float(running + csum[-1])
+        count += idx.size
     raise ScanExhausted(
-        "grow-subseries", f"target {target:g} not reached", horizon, best=best
+        "grow-subseries",
+        f"target {target:g} not reached",
+        horizon,
+        best=abs(running),
     )
 
 
@@ -732,17 +599,16 @@ def derive_depth_checkpoints(
     out: list[tuple[int, float]] = []
     position = 0
     for level in range(1, depth + 1):
-        found = _first_crossing(
+        position = first_crossing(
             series, stem, float(level), strict=False, start_pos=position + 1,
             end_pos=limit,
         )
-        if found is None:
+        if position is None:
             raise ScanExhausted(
                 "depth-checkpoints",
                 f"stem never reaches partial-sum norm {level}",
                 limit,
             )
-        position = found[0]
         out.append((position, float(level)))
     return tuple(out)
 
@@ -799,21 +665,16 @@ def subseries_to_rearrangement(
                 scan_end,
             )
         candidate = q.concat_runs(stem.slice_runs(tail_start, scan_end))
-        found = _first_crossing(
-            series,
-            candidate,
-            float(level),
-            strict=False,
-            start_pos=k_prev + 1,
+        position = first_crossing(
+            series, candidate, float(level), strict=False, start_pos=k_prev + 1
         )
-        if found is None:
+        if position is None:
             raise ScanExhausted(
                 "rearrangement",
                 f"stage {level} never crossed {level}",
                 scan_end,
-                best=_max_norm_along(series, candidate),
+                best=max_norm(series, candidate),
             )
-        position, _ = found
         raw.append((position, float(level), ">="))
         q = extend_to_prefix_bijection(candidate.prefix(position))
         boundaries.append(len(q))
@@ -861,15 +722,14 @@ def nowhere_dense_witness_subseq(
         )
     scan_end = min(len(s_prime), tail_start + horizon - 1)
     candidate = base.concat_runs(s_prime.slice_runs(tail_start, scan_end))
-    found = _first_crossing(series, candidate, float(m), strict=True)
-    if found is None:
+    position = first_crossing(series, candidate, float(m), strict=True)
+    if position is None:
         raise ScanExhausted(
             "nowhere-dense-subseq",
             f"no partial sum above {m:g}",
             scan_end,
-            best=_max_norm_along(series, candidate),
+            best=max_norm(series, candidate),
         )
-    position, _ = found
     keep = max(position, k + 1)
     witness = candidate.prefix(keep)
     return WitnessCertificate(
@@ -918,15 +778,14 @@ def nowhere_dense_witness_rearr(
         )
     scan_end = min(len(p_prime), tail_start + horizon - 1)
     candidate = base.concat_runs(p_prime.slice_runs(tail_start, scan_end))
-    found = _first_crossing(series, candidate, float(m), strict=True)
-    if found is None:
+    position = first_crossing(series, candidate, float(m), strict=True)
+    if position is None:
         raise ScanExhausted(
             "nowhere-dense-rearr",
             f"no partial sum above {m:g}",
             scan_end,
-            best=_max_norm_along(series, candidate),
+            best=max_norm(series, candidate),
         )
-    position, _ = found
     keep = max(position, len(base) + 1)
     witness = extend_to_prefix_bijection(candidate.prefix(keep))
     return WitnessCertificate(
@@ -1063,17 +922,16 @@ def dense_open_witness_Bm(
         )
     scan_end = min(len(u), horizon)
     candidate = base.concat_runs(u.slice_runs(r + 1, scan_end))
-    found = _first_crossing(
+    l_r = first_crossing(
         series, candidate, float(m + 1), strict=True, start_pos=r + 1
     )
-    if found is None:
+    if l_r is None:
         raise ScanExhausted(
             "dense-open-Bm",
             f"no partial sum above {m + 1}",
             scan_end,
-            best=_max_norm_along(series, candidate),
+            best=max_norm(series, candidate),
         )
-    l_r, _ = found
     after = candidate.value_at(l_r)
     k = _interval_start(seq, m, l_r)
     block: SubseqStem | None = None
@@ -1139,17 +997,16 @@ def dense_open_witness_Cm(
         )
     scan_end = min(len(t), horizon)
     candidate = base.concat_runs(t.slice_runs(tail_start, scan_end))
-    found = _first_crossing(
+    pos_mr = first_crossing(
         series, candidate, float(m + 1), strict=True, start_pos=r + 1
     )
-    if found is None:
+    if pos_mr is None:
         raise ScanExhausted(
             "dense-open-Cm",
             f"no partial sum above {m + 1}",
             scan_end,
-            best=_max_norm_along(series, candidate),
+            best=max_norm(series, candidate),
         )
-    pos_mr, _ = found
     m_r = tail_start + (pos_mr - r) - 1
     tail_values_max = max(
         run.max_value for run in candidate.slice_runs(r + 1, pos_mr)
@@ -1209,50 +1066,38 @@ def dense_open_witness_Am(
         raise PreconditionViolation("m must be >= 0")
     horizon = scan_horizon or default_scan_horizon(series)
     _validate_prior_checkpoints(series, u, u_checkpoints, "unboundedness witness")
-    from .series import _SparseAccumulator
-
     # 0-padding freezes the running sum, so only the value after the whole
     # base word matters; interior crossings cannot be kept without
-    # truncating the word the witness must extend.
-    bits = list(base.bits)
-    acc = _SparseAccumulator(series.space)
-    for i, bit in enumerate(bits):
-        if bit:
-            acc.add(series.term(i + 1))
-    value = acc.norm()
-    best = value
-    crossing = len(bits) if bits and value > m + DELTA else None
-    if crossing is None:
-        tail_start = u.first_position_above(len(bits))
-        if tail_start is None:
-            raise ScanExhausted(
-                "dense-open-Am", "u never passes the initial word", len(u)
-            )
-        for position in range(tail_start, len(u) + 1):
-            index = u.value_at(position)
-            if index > horizon:
-                break
-            bits.extend([0] * (index - 1 - len(bits)))
-            bits.append(1)
-            acc.add(series.term(index))
-            value = acc.norm()
-            best = max(best, value)
-            if value > m + DELTA:
-                crossing = index
-                break
-    if crossing is None:
+    # truncating the word the witness must extend.  At a 1 of the word the
+    # running sum is the partial sum of the subseries of its 1s.
+    ones = SubseqStem.from_values(np.flatnonzero(base.to_numpy()) + 1)
+    tail_start = u.first_position_above(len(base))
+    tail = ()
+    if tail_start is not None:
+        beyond = u.first_position_above(horizon)
+        tail_end = len(u) if beyond is None else max(beyond - 1, tail_start - 1)
+        tail = u.slice_runs(tail_start, tail_end)
+    picks = ones.concat_runs(tail)
+    first = max(len(ones), 1)
+    position = first_crossing(series, picks, float(m), strict=True, start_pos=first)
+    if position is not None and position <= len(ones):
+        cross_pos = len(base)
+    elif tail_start is None:
+        raise ScanExhausted("dense-open-Am", "u never passes the initial word", len(u))
+    elif position is None:
         raise ScanExhausted(
             "dense-open-Am",
             f"no selection partial sum above {m:g}",
             horizon,
-            best=best,
+            best=max_norm(series, picks, start_pos=first),
         )
-    cross_pos = crossing
-    bits = bits[:cross_pos]
+    else:
+        cross_pos = picks.value_at(position)
     k = _interval_start(seq, m, cross_pos)
-    end = seq.n(k + 1) - 1
-    bits.extend([0] * (end - len(bits)))
-    stem = SelectionStem(tuple(bits))
+    word = np.zeros(seq.n(k + 1) - 1, dtype=np.int64)
+    word[: len(base)] = base.to_numpy()
+    word[picks.to_numpy(position) - 1] = 1
+    stem = SelectionStem(tuple(word.tolist()))
     checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
     return WitnessCertificate(
         construction="dense-open-Am",
@@ -1364,24 +1209,10 @@ def provision_candidate_stream(
     oracle = oracle or default_growth_oracle(series)
     _check_strategy(series, oracle)
     horizon = horizon or default_scan_horizon(series)
-    if oracle.strategy in (GREEDY_POSITIVE, GREEDY_NEGATIVE):
-        parts = [
-            idx
-            for idx, _ in _greedy_candidates(
-                series, oracle.strategy == GREEDY_POSITIVE, 0, horizon
-            )
-        ]
-        if not parts:
-            return SubseqStem(())
-        return SubseqStem.from_values(np.concatenate(parts))
-    if oracle.strategy == PER_COORDINATE:
-        picks = [
-            n
-            for n in range(1, horizon + 1)
-            if series.term(n).coefficient(oracle.coordinate) > 0
-        ]
-        return SubseqStem.from_values(picks)
-    raise PreconditionViolation("the exhaustive strategy provides no index stream")
+    if oracle.strategy == EXHAUSTIVE:
+        raise PreconditionViolation("the exhaustive strategy provides no index stream")
+    parts = [idx for idx, _ in _candidate_chunks(series, oracle, horizon)]
+    return SubseqStem.from_values(np.concatenate(parts)) if parts else SubseqStem(())
 
 
 def rearrangement_pipeline(

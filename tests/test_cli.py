@@ -209,6 +209,9 @@ CONFIG_MATRIX = [
       "--target", "2", "--horizon", "1000"], 2),
     (["--series", "alt-harmonic", "--construction", "i-bounded",
       "--M", "0.6", "--ideal", "density", "--horizon", "10"], 2),
+    # the candidate stream is too short to seed the base stem: exhaustion
+    (["--series", "unit-basis-c0", "--construction", "dense-open-bm",
+      "--m", "1", "--horizon", "1000"], 2),
 ]
 
 

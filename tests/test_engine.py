@@ -1,0 +1,200 @@
+"""The single partial-sum engine against the per-term and per-interval
+reference code it replaced; the references stay here."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import serieswitness.series as series_module
+from serieswitness import (
+    PartialSumTrace,
+    RearrStem,
+    SelectionStem,
+    SubseqStem,
+    catalog_series,
+    exceedance_report,
+    explicit_talagrand,
+    geometric_talagrand,
+    linear_talagrand,
+    norms_at,
+    prefix_norms,
+)
+from serieswitness.ideals import interval
+from serieswitness.series import _signs, first_crossing, max_norm
+from serieswitness.spaces import DELTA
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def reference_exceedance(trace, bound, seq):
+    """The per-interval loop that exceedance_report used to run."""
+    horizon = trace.horizon
+    mask = trace.norms > bound + DELTA
+    exceed = frozenset(int(p) for p in trace.positions[mask])
+    contained = []
+    k = 1
+    while True:
+        if seq.max_k() is not None and k > seq.max_k():
+            break
+        window = interval(seq, k)
+        if window.start > horizon:
+            break
+        if window.stop - 1 <= horizon and all(bool(mask[l - 1]) for l in window):
+            contained.append(k)
+        k += 1
+    return exceed, tuple(contained)
+
+
+def reference_sup_norms(series, stem, horizon):
+    """Running sup norms from one FiniteSupportVector per term, summed into
+    a dict coordinate by coordinate."""
+    if isinstance(stem, SelectionStem):
+        steps = [i + 1 if bit else None for i, bit in enumerate(stem.bits[:horizon])]
+    else:
+        steps = [int(v) for v in stem.to_numpy(horizon)]
+    coeffs: dict[int, float] = {}
+    out = []
+    for n in steps:
+        if n is not None:
+            for index, coeff in series.term(n).entries:
+                coeffs[index] = coeffs.get(index, 0.0) + coeff
+        out.append(max((abs(c) for c in coeffs.values()), default=0.0))
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# exceedance by prefix counts
+
+
+SEQUENCES = st.one_of(
+    st.just(linear_talagrand()),
+    st.just(geometric_talagrand()),
+    st.lists(st.integers(1, 80), min_size=2, max_size=12, unique=True).map(
+        lambda values: explicit_talagrand(sorted(values))
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    above=st.lists(st.booleans(), min_size=0, max_size=70),
+    seq=SEQUENCES,
+    runs=st.integers(0, 3),
+)
+def test_exceedance_matches_per_interval_loop(above, seq, runs):
+    # long stretches of exceedance make whole intervals likely; the trace
+    # ends wherever the list does, so the last interval often straddles it
+    above = above + [True] * (runs * 11)
+    horizon = len(above)
+    norms = np.where(np.array(above, dtype=bool), 2.0, 0.5)
+    trace = PartialSumTrace(
+        "test", "subseq", SubseqStem.identity(horizon),
+        np.arange(1, horizon + 1, dtype=np.int64), norms,
+    )
+    report = exceedance_report(trace, 1.0, seq)
+    assert (report.exceed_set, report.contained_intervals) == reference_exceedance(
+        trace, 1.0, seq
+    )
+
+
+# ---------------------------------------------------------------------------
+# the columnar sup-norm path
+
+
+def _random_stem(rng, kind, size):
+    if kind == "selection":
+        return SelectionStem(tuple(int(b) for b in rng.integers(0, 2, size)))
+    values = rng.choice(np.arange(1, 3 * size + 1), size=size, replace=False)
+    if kind == "subseq":
+        return SubseqStem.from_values(np.sort(values))
+    return RearrStem.from_values(values)
+
+
+@pytest.mark.parametrize("name", ["unit-basis-c0", "decaying-signed-c0"])
+@pytest.mark.parametrize("kind", ["subseq", "rearr", "selection"])
+@pytest.mark.parametrize("chunk", [1 << 20, 7])
+def test_sup_norms_match_per_term_vectors(monkeypatch, name, kind, chunk):
+    # a chunk of 7 carries the running coordinates across many chunks
+    monkeypatch.setattr(series_module, "_CHUNK", chunk)
+    series = catalog_series(name)
+    rng = np.random.default_rng(sum(map(ord, name + kind)))
+    for size in (1, 2, 40, 300):
+        stem = _random_stem(rng, kind, size)
+        got = prefix_norms(series, stem, size)
+        assert np.array_equal(got, reference_sup_norms(series, stem, size))
+
+
+def test_sup_norms_of_paired_coordinates(monkeypatch):
+    # decaying-signed-c0 puts indices 2m-1 and 2m on coordinate m, so the
+    # identity stem and its reversal revisit coordinates
+    monkeypatch.setattr(series_module, "_CHUNK", 5)
+    series = catalog_series("decaying-signed-c0")
+    for stem in (SubseqStem.identity(64), RearrStem.from_values(range(64, 0, -1))):
+        assert np.array_equal(
+            prefix_norms(series, stem, 64), reference_sup_norms(series, stem, 64)
+        )
+
+
+# ---------------------------------------------------------------------------
+# reductions
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "growing-real", "decaying-signed-c0"])
+@pytest.mark.parametrize("kind", ["subseq", "rearr", "selection"])
+def test_reductions_match_a_scan_of_prefix_norms(name, kind):
+    series = catalog_series(name)
+    rng = np.random.default_rng(7)
+    stem = _random_stem(rng, kind, 200)
+    norms = prefix_norms(series, stem, 200)
+    for start, end in ((1, 200), (17, 150), (120, 119), (1, 1)):
+        window = norms[start - 1:end]
+        assert max_norm(series, stem, start, end) == (
+            float(window.max()) if window.size else 0.0
+        )
+        for level in np.quantile(norms, [0.1, 0.5, 0.9, 1.0]):
+            for strict in (True, False):
+                hits = window > level + DELTA if strict else window >= level
+                expected = start + int(np.argmax(hits)) if hits.any() else None
+                assert first_crossing(
+                    series, stem, float(level), strict=strict,
+                    start_pos=start, end_pos=end,
+                ) == expected
+
+
+def test_norms_at_across_scalar_chunks(monkeypatch):
+    # chunk boundaries are part of the scalar arithmetic: every reduction
+    # and norms_at must agree on them
+    monkeypatch.setattr(series_module, "_CHUNK", 16)
+    series = catalog_series("alt-harmonic")
+    stem = SubseqStem.identity(100)
+    norms = prefix_norms(series, stem, 100)
+    assert np.array_equal(norms_at(series, stem, [100, 33, 1]), norms[[99, 32, 0]])
+    assert max_norm(series, stem, 20, 100) == float(norms[19:].max())
+    assert first_crossing(series, stem, float(norms[60]), strict=False, start_pos=60) == 61
+
+
+# ---------------------------------------------------------------------------
+# integer signs
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 2**40), min_size=1, max_size=50))
+def test_integer_signs_match_float_parity(values):
+    v = np.array(values, dtype=np.int64)
+    expected = np.where(v.astype(np.float64) % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(_signs(v), expected)
+
+
+def test_catalog_terms_match_their_formulas():
+    n = np.array([1, 2, 3, 4, 2**40 + 1, 2**40 + 2], dtype=np.int64)
+    alt = catalog_series("alt-harmonic")
+    assert np.array_equal(alt.columns(n)[1], [(-1.0) ** int(k) / float(k) for k in n])
+    assert np.array_equal(alt.term_norms(n), 1.0 / n.astype(np.float64))
+    coords, coeffs = catalog_series("decaying-signed-c0").columns(n)
+    assert coords.tolist() == [math.ceil(int(k) / 2) for k in n]
+    assert np.array_equal(coeffs, [(-1.0) ** int(k) / math.ceil(int(k) / 2) for k in n])

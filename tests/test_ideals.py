@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from serieswitness import (
     exceedance_report,
     explicit_talagrand,
     fin_ideal,
-    finite_member,
     geometric_talagrand,
     i_bounded_verdict,
     interval,
@@ -73,25 +71,6 @@ def test_density_at_examples():
     assert density_at({1, 2, 3}, 3) == 1.0
     with pytest.raises(ValueError):
         density_at({1}, 0)
-
-
-def test_ideal_axioms_on_finite_sets():
-    # closure under union and subset over subsets of {1..8}; every finite
-    # set is a member of both ideals
-    universe = list(range(1, 9))
-    subsets = [
-        frozenset(c)
-        for size in range(0, 4)
-        for c in itertools.combinations(universe, size)
-    ]
-    for ideal in (fin_ideal(), density_ideal()):
-        assert finite_member(ideal, frozenset())
-        for a in subsets:
-            assert finite_member(ideal, a)
-            for b in subsets:
-                assert finite_member(ideal, a | b)
-                if a <= b:
-                    assert finite_member(ideal, a)
 
 
 def test_exceedance_unit_basis_trace16(unit):
