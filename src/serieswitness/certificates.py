@@ -49,20 +49,15 @@ class SchemaMismatch(ValueError):
 
 
 def _bits_to_rle(bits: tuple[int, ...]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for b in bits:
-        if out and out[-1][0] == b:
-            out[-1][1] += 1
-        else:
-            out.append([b, 1])
-    return out
+    word = np.asarray(bits, dtype=np.int64)
+    starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]]) if word.size else word
+    counts = np.diff(np.r_[starts, word.size])
+    return np.column_stack((word[starts], counts)).tolist()
 
 
 def _bits_from_rle(rle: list[list[int]]) -> tuple[int, ...]:
-    bits: list[int] = []
-    for b, count in rle:
-        bits.extend([int(b)] * int(count))
-    return tuple(bits)
+    pairs = np.array(rle, dtype=np.int64).reshape(len(rle), 2)
+    return tuple(np.repeat(pairs[:, 0], np.maximum(pairs[:, 1], 0)).tolist())
 
 
 def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
@@ -119,13 +114,13 @@ def checkpoint_to_json(cp: Checkpoint) -> dict[str, Any]:
     }
 
 
-def checkpoint_from_json(data: dict[str, Any]) -> Checkpoint:
-    return Checkpoint(
-        position=int(data["position"]),
-        value=float(data["value"]),
-        bound=float(data["bound"]),
-        relation=str(data["relation"]),
-        kind=str(data.get("kind", "partial-sum")),
+def checkpoints_from_json(items: list[dict[str, Any]]) -> tuple[Checkpoint, ...]:
+    return Checkpoint.from_columns(
+        [int(data["position"]) for data in items],
+        [float(data["value"]) for data in items],
+        [float(data["bound"]) for data in items],
+        [str(data["relation"]) for data in items],
+        [str(data.get("kind", "partial-sum")) for data in items],
     )
 
 
@@ -150,7 +145,7 @@ def certificate_from_json(data: dict[str, Any]) -> WitnessCertificate:
         construction=str(data["construction"]),
         series_name=str(data["series"]),
         stem=stem_from_json(data["stem"]),
-        checkpoints=tuple(checkpoint_from_json(c) for c in data["checkpoints"]),
+        checkpoints=checkpoints_from_json(data["checkpoints"]),
         base=stem_from_json(data["base"]) if data.get("base") else None,
         interval_index=data.get("interval_index"),
         interval=tuple(interval) if interval else None,
@@ -194,6 +189,11 @@ def document_for_exhaustion(
     return _document("exhaustion", config, result, seconds)
 
 
+def _exceed_runs(exceed_set: frozenset[int]) -> list[list[int]]:
+    values = np.fromiter(exceed_set, dtype=np.int64, count=len(exceed_set))
+    return [[r.start, r.step, r.count] for r in compress_values(np.sort(values))]
+
+
 def document_for_verdict(
     verdict: BoundednessVerdict,
     indexer: IndexerStem,
@@ -202,7 +202,6 @@ def document_for_verdict(
     config: dict[str, Any],
     seconds: float = 0.0,
 ) -> dict[str, Any]:
-    exceed_sorted = np.array(sorted(verdict.report.exceed_set), dtype=np.int64)
     result = {
         "series": config.get("series"),
         "indexer": stem_to_json(indexer),
@@ -214,17 +213,15 @@ def document_for_verdict(
         "status": verdict.status,
         "interval_count": verdict.interval_count,
         "contained_intervals": list(verdict.report.contained_intervals),
-        "exceed_runs": [
-            [r.start, r.step, r.count] for r in compress_values(exceed_sorted)
-        ]
-        if exceed_sorted.size
-        else [],
+        "exceed_runs": _exceed_runs(verdict.report.exceed_set),
     }
     return _document("verdict", config, result, seconds)
 
 
 def dumps_document(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """One line of compact JSON with sorted keys; without an indent the
+    standard library takes its C encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def payload_without_timing(doc: dict[str, Any]) -> str:
@@ -263,11 +260,7 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
     trace = partial_sums(series, indexer, horizon)
     report = exceedance_report(trace, float(result["bound"]), seq)
     issues: list[str] = []
-    recomputed_runs = [
-        [r.start, r.step, r.count]
-        for r in compress_values(np.array(sorted(report.exceed_set), dtype=np.int64))
-    ] if report.exceed_set else []
-    if recomputed_runs != result["exceed_runs"]:
+    if _exceed_runs(report.exceed_set) != result["exceed_runs"]:
         issues.append("exceedance set does not recompute")
     if list(report.contained_intervals) != result["contained_intervals"]:
         issues.append(
@@ -312,7 +305,3 @@ def verify_document(doc: dict[str, Any], rerun_exhaustion: bool = True) -> list[
             return []
         return ["recorded as exhausted, but the construction now succeeds"]
     return [f"unknown document kind {kind!r}"]
-
-
-def first_failure(issues: list[str]) -> str | None:
-    return issues[0] if issues else None

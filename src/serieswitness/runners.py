@@ -111,8 +111,8 @@ def resolve_config(config: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _certified_pipeline(series: SeriesOracle, depth: int, horizon: int):
-    cert = rearrangement_pipeline(series, depth, horizon)
+def _certified_pipeline(series: SeriesOracle, depth: int, horizon: int, stream=None):
+    cert = rearrangement_pipeline(series, depth, horizon, stream=stream)
     checkpoints = [
         (cp.position, cp.bound)
         for cp in cert.checkpoints
@@ -182,7 +182,7 @@ def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
         if len(stream) < r:
             raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
         base = RearrStem.from_values(stream.to_numpy(r))
-        stem, checkpoints = _certified_pipeline(series, m + 1, horizon)
+        stem, checkpoints = _certified_pipeline(series, m + 1, horizon, stream)
         return "witness", dense_open_witness_Cm(
             series, seq, stem, m, base, horizon, checkpoints
         )

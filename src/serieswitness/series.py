@@ -41,12 +41,14 @@ __all__ = [
     "prefix_norms",
     "norms_at",
     "first_crossing",
+    "first_crossings",
     "max_norm",
     "extend_to_prefix_bijection",
     "stem_kind",
 ]
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 15
 
 
 class UnknownSeries(ValueError):
@@ -216,25 +218,28 @@ class PartialSumTrace:
         )
 
 
-def _term_chunks(
-    series: SeriesOracle, indexer: IndexerStem, horizon: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(coordinates, coefficients) of the summands at positions 1..horizon,
+def _index_chunks(
+    indexer: IndexerStem, horizon: int
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """(series indices, selection bits or None) of positions 1..horizon,
     chunk by chunk; a selection stem weights term i by its i-th bit."""
     if isinstance(indexer, SelectionStem):
         bits = indexer.to_numpy()[:horizon]
         for lo in range(0, bits.size, _CHUNK):
             hi = min(bits.size, lo + _CHUNK)
-            coords, coeffs = series.columns(np.arange(lo + 1, hi + 1, dtype=np.int64))
-            yield coords, coeffs * bits[lo:hi]
+            yield np.arange(lo + 1, hi + 1, dtype=np.int64), bits[lo:hi]
     else:
         produced = 0
         for chunk in indexer.iter_chunks(_CHUNK):
             if produced >= horizon:
                 break
             take = min(chunk.size, horizon - produced)
-            yield series.columns(chunk[:take])
+            yield chunk[:take], None
             produced += take
+
+
+def _weighted(coeffs: np.ndarray, bits: np.ndarray | None) -> np.ndarray:
+    return coeffs if bits is None else coeffs * bits
 
 
 def _cover_max(
@@ -314,21 +319,31 @@ def _norm_chunks(
     series: SeriesOracle, indexer: IndexerStem, horizon: int
 ) -> Iterator[np.ndarray]:
     """The single partial-sum engine: norms of the running partial sums at
-    positions 1..horizon, one array per chunk, ending early with the stem.
+    positions 1..horizon, in consecutive pieces, ending early with the stem.
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
-    of the arithmetic and every reduction below shares it."""
+    of the arithmetic and every reduction below shares it.  The chunk is
+    evaluated in blocks of _BLOCK terms, each block's cumsum starting from
+    the in-chunk sum so far: the values stay the same bit for bit, the
+    temporaries stay in cache, and a scan can stop inside a chunk."""
     running = 0.0
     keys, held = np.empty(0, dtype=np.int64), np.empty(0)
-    for coords, coeffs in _term_chunks(series, indexer, horizon):
-        if series.is_scalar:
-            csum = np.cumsum(coeffs)
-            csum += running
-            running = float(csum[-1])
-            yield np.abs(csum, out=csum)
-        else:
-            norms, keys, held = _sup_chunk(coords, coeffs, keys, held)
+    for indices, bits in _index_chunks(indexer, horizon):
+        if not series.is_scalar:
+            coords, coeffs = series.columns(indices)
+            norms, keys, held = _sup_chunk(coords, _weighted(coeffs, bits), keys, held)
             yield norms
+            continue
+        for lo in range(0, indices.size, _BLOCK):
+            hi = lo + _BLOCK
+            terms = _weighted(
+                series.columns(indices[lo:hi])[1], None if bits is None else bits[lo:hi]
+            )
+            csum = np.cumsum(np.concatenate(([carry], terms)))[1:] if lo else np.cumsum(terms)
+            carry = csum[-1]
+            csum += running
+            yield np.abs(csum, out=csum)
+        running = float(running + carry)
 
 
 def _norms_between(
@@ -373,23 +388,40 @@ def norms_at(
     return out[inverse]
 
 
+def first_crossings(
+    series: SeriesOracle, indexer: IndexerStem, thresholds: Sequence[float], *,
+    strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
+) -> list[int]:
+    """In one scan of [start_pos, end_pos], the first position whose norm
+    passes thresholds[0] (> t + DELTA if strict, else >= t), then the first
+    one after it passing thresholds[1], and so on; the list ends at the
+    first threshold not passed."""
+    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
+    found: list[int] = []
+    for first, norms in _norms_between(series, indexer, start_pos, end_pos):
+        at = 0
+        while len(found) < len(thresholds):
+            t = thresholds[len(found)]
+            hits = norms[at:] > t + DELTA if strict else norms[at:] >= t
+            if not hits.any():
+                break
+            at += int(np.argmax(hits)) + 1
+            found.append(first + at - 1)
+        if len(found) == len(thresholds):
+            break
+    return found
+
+
 def first_crossing(
-    series: SeriesOracle,
-    indexer: IndexerStem,
-    threshold: float,
-    *,
-    strict: bool,
-    start_pos: int = 1,
-    end_pos: int | None = None,
+    series: SeriesOracle, indexer: IndexerStem, threshold: float, *,
+    strict: bool, start_pos: int = 1, end_pos: int | None = None,
 ) -> int | None:
     """First position in [start_pos, end_pos] whose partial-sum norm passes
-    the threshold (> threshold + DELTA if strict, else >= threshold)."""
-    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
-    for first, norms in _norms_between(series, indexer, start_pos, end_pos):
-        hits = norms > threshold + DELTA if strict else norms >= threshold
-        if hits.any():
-            return first + int(np.argmax(hits))
-    return None
+    the threshold as in first_crossings, or None."""
+    found = first_crossings(
+        series, indexer, [threshold], strict=strict, start_pos=start_pos, end_pos=end_pos
+    )
+    return found[0] if found else None
 
 
 def max_norm(

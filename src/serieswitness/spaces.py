@@ -120,9 +120,6 @@ class FiniteSupportVector:
                 break
         return 0.0
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.entries)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
@@ -177,10 +174,6 @@ def axpy(a: float, v: FiniteSupportVector, w: FiniteSupportVector) -> FiniteSupp
         else:
             acc[index] = new
     return FiniteSupportVector.from_mapping(acc)
-
-
-def add(v: FiniteSupportVector, w: FiniteSupportVector) -> FiniteSupportVector:
-    return axpy(1.0, v, w)
 
 
 def negate(v: FiniteSupportVector) -> FiniteSupportVector:

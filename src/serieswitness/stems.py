@@ -285,9 +285,6 @@ class SubseqStem(_RunStem):
     def prefix(self, length: int) -> "SubseqStem":
         return SubseqStem(self._prefix_runs(length))
 
-    def concat_values(self, values: Sequence[int] | np.ndarray) -> "SubseqStem":
-        return SubseqStem(self.runs + compress_values(values))
-
     def concat_runs(self, runs: Iterable[IndexRun]) -> "SubseqStem":
         return SubseqStem(self.runs + tuple(runs))
 
@@ -327,9 +324,6 @@ class RearrStem(_RunStem):
     def prefix(self, length: int) -> "RearrStem":
         return RearrStem(self._prefix_runs(length))
 
-    def concat_values(self, values: Sequence[int] | np.ndarray) -> "RearrStem":
-        return RearrStem(self.runs + compress_values(values))
-
     def concat_runs(self, runs: Iterable[IndexRun]) -> "RearrStem":
         return RearrStem(self.runs + tuple(runs))
 
@@ -355,7 +349,7 @@ class SelectionStem:
     bits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("selection stems are words over {0, 1}")
 
     @classmethod

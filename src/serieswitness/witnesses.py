@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .ideals import TalagrandSequence, interval
-from .series import SeriesOracle, first_crossing, max_norm, norms_at
+from .series import (
+    _BLOCK, SeriesOracle, first_crossing, first_crossings, max_norm, norms_at,
+)
 from .spaces import DELTA, SpaceSpec
 from .stems import (
     IndexerStem,
@@ -108,18 +111,20 @@ class PatternTooLarge(ValueError):
     """Exhaustive pattern sweep refused; word length exceeds the bound."""
 
 
-def relation_holds(value: float, bound: float, relation: str) -> bool:
+def relation_holds(value, bound, relation):
     """Certified comparisons: strict ones demand clearance above DELTA,
-    non-strict ones tolerate DELTA of slack."""
-    if relation == ">":
-        return value > bound + DELTA
-    if relation == ">=":
-        return value >= bound - DELTA
-    raise ValueError(f"unknown relation {relation!r}")
+    non-strict ones tolerate DELTA of slack.  Works elementwise on arrays
+    and raises for the first unknown relation."""
+    relation = np.asarray(relation, dtype=object)
+    strict = relation == ">"
+    unknown = np.flatnonzero(~strict & (relation != ">="))
+    if unknown.size:
+        raise ValueError(f"unknown relation {relation.flat[unknown[0]]!r}")
+    with np.errstate(invalid="ignore"):
+        return np.where(strict, value > bound + DELTA, value >= bound - DELTA)
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """One checked inequality: the norm at a stem position versus a bound."""
 
     position: int
@@ -129,7 +134,13 @@ class Checkpoint:
     kind: str = "partial-sum"  # or "term-norm"
 
     def holds(self) -> bool:
-        return relation_holds(self.value, self.bound, self.relation)
+        return bool(relation_holds(self.value, self.bound, self.relation))
+
+    @classmethod
+    def from_columns(cls, *columns: Iterable) -> tuple["Checkpoint", ...]:
+        """Checkpoints from parallel columns (position, value, bound, relation,
+        kind), built by tuple.__new__ without a Python call per checkpoint."""
+        return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -216,15 +227,17 @@ def _check_strategy(series: SeriesOracle, oracle: GrowthOracle) -> None:
 # shared scanning helpers
 
 
-def _first_index_with_norm_below(
-    series: SeriesOracle, after: int, threshold: float, horizon: int
+def _first_index(
+    series: SeriesOracle, after: int, horizon: int, hit: Callable[[np.ndarray], np.ndarray]
 ) -> int | None:
+    """First index in (after, horizon] whose term norm passes `hit`, found
+    in spans that grow from 2^10 to _CHUNK indices."""
     lo = after + 1
     span = 1 << 10
     while lo <= horizon:
         hi = min(horizon, lo + span - 1)
         idx = np.arange(lo, hi + 1, dtype=np.int64)
-        mask = series.term_norms(idx) < threshold
+        mask = hit(series.term_norms(idx))
         if mask.any():
             return int(idx[int(np.argmax(mask))])
         lo = hi + 1
@@ -246,21 +259,25 @@ def _canonical_checkpoints(
 ) -> tuple[Checkpoint, ...]:
     """Recompute checkpoint values through the canonical engine so that
     construction and verification agree bit for bit."""
-    positions = [p for p, _, _ in raw]
+    if not raw:
+        return ()
+    positions, bounds, relations = zip(*raw)
     values = norms_at(series, stem, positions)
-    out = []
-    for (position, bound, relation), value in zip(raw, values):
-        cp = Checkpoint(position, float(value), float(bound), relation)
-        if not cp.holds():
-            raise ScanExhausted(
-                "checkpoint-recompute",
-                f"recomputed norm {value!r} at position {position} misses "
-                f"{relation} {bound}",
-                position,
-                best=float(value),
-            )
-        out.append(cp)
-    return tuple(out)
+    floats = np.array(bounds, dtype=np.float64)
+    missed = np.flatnonzero(~relation_holds(values, floats, relations))
+    if missed.size:
+        position, bound, relation = raw[int(missed[0])]
+        value = values[int(missed[0])]
+        raise ScanExhausted(
+            "checkpoint-recompute",
+            f"recomputed norm {value!r} at position {position} misses "
+            f"{relation} {bound}",
+            position,
+            best=float(value),
+        )
+    return Checkpoint.from_columns(
+        positions, values.tolist(), floats.tolist(), relations, repeat("partial-sum")
+    )
 
 
 def _validate_prior_checkpoints(
@@ -347,19 +364,17 @@ def _threshold_chain(b: float, target: float) -> list[float]:
 
 def _candidate_chunks(series: SeriesOracle, oracle: GrowthOracle, horizon: int):
     """(indices, coefficients) of the streaming strategy's candidates in
-    1..horizon: the terms feeding its coordinate (1 on the real line) with
-    its sign, positive unless the strategy is greedy-negative."""
-    coordinate = 1 if series.is_scalar else oracle.coordinate
-    sign = -1.0 if oracle.strategy == GREEDY_NEGATIVE else 1.0
-    lo = 1
-    while lo <= horizon:
-        hi = min(horizon, lo + _CHUNK - 1)
-        idx = np.arange(lo, hi + 1, dtype=np.int64)
+    1..horizon, one engine block of indices at a time: the terms feeding
+    its coordinate (every term on the real line) with its sign, positive
+    unless the strategy is greedy-negative."""
+    for lo in range(1, horizon + 1, _BLOCK):
+        idx = np.arange(lo, min(horizon, lo + _BLOCK - 1) + 1, dtype=np.int64)
         coords, coeffs = series.columns(idx)
-        mask = (coords == coordinate) & (sign * coeffs > 0)
+        mask = coeffs < 0 if oracle.strategy == GREEDY_NEGATIVE else coeffs > 0
+        if not series.is_scalar:
+            mask &= coords == oracle.coordinate
         if mask.any():
             yield idx[mask], coeffs[mask]
-        lo = hi + 1
 
 
 def _grow_streaming(
@@ -593,24 +608,19 @@ def derive_depth_checkpoints(
     depth: int,
     scan_horizon: int | None = None,
 ) -> tuple[tuple[int, float], ...]:
-    """First positions where the stem's partial-sum norms reach 1..depth."""
+    """First positions where the stem's partial-sum norms reach 1..depth,
+    found in one scan; each level's search starts after the last one's."""
     horizon = scan_horizon or default_scan_horizon(series)
     limit = min(len(stem), horizon)
-    out: list[tuple[int, float]] = []
-    position = 0
-    for level in range(1, depth + 1):
-        position = first_crossing(
-            series, stem, float(level), strict=False, start_pos=position + 1,
-            end_pos=limit,
+    levels = [float(level) for level in range(1, depth + 1)]
+    positions = first_crossings(series, stem, levels, end_pos=limit)
+    if len(positions) < depth:
+        raise ScanExhausted(
+            "depth-checkpoints",
+            f"stem never reaches partial-sum norm {len(positions) + 1}",
+            limit,
         )
-        if position is None:
-            raise ScanExhausted(
-                "depth-checkpoints",
-                f"stem never reaches partial-sum norm {level}",
-                limit,
-            )
-        out.append((position, float(level)))
-    return tuple(out)
+    return tuple(zip(positions, levels))
 
 
 def subseries_to_rearrangement(
@@ -849,7 +859,7 @@ def small_norm_block(
                     break
                 continue
         threshold = remaining / (2.0 * (length - taken))
-        found = _first_index_with_norm_below(series, prev, threshold, horizon)
+        found = _first_index(series, prev, horizon, lambda norms: norms < threshold)
         if found is None:
             claim = (
                 "refutes the declared norm decay"
@@ -1147,16 +1157,9 @@ def limsup_subseries(
     checkpoints: list[Checkpoint] = []
     for step in range(1, depth + 1):
         needed = max(term_norm, 2.0 * sum_norm)
-        lo = picks[-1] + 1
-        found = None
-        while lo <= horizon:
-            hi = min(horizon, lo + _CHUNK - 1)
-            idx = np.arange(lo, hi + 1, dtype=np.int64)
-            mask = series.term_norms(idx) > needed + DELTA
-            if mask.any():
-                found = int(idx[int(np.argmax(mask))])
-                break
-            lo = hi + 1
+        found = _first_index(
+            series, picks[-1], horizon, lambda norms: norms > needed + DELTA
+        )
         if found is None:
             raise ScanExhausted(
                 "limsup-subseries",
@@ -1220,11 +1223,15 @@ def rearrangement_pipeline(
     depth: int,
     scan_horizon: int | None = None,
     oracle: GrowthOracle | None = None,
+    *,
+    stream: SubseqStem | None = None,
 ) -> WitnessCertificate:
-    """Provision an unbounded-subseries stream, certify its growth levels,
-    and run the rearrangement construction on it."""
+    """Provision an unbounded-subseries stream (unless the caller already
+    holds it), certify its growth levels, and run the rearrangement
+    construction on it."""
     horizon = scan_horizon or default_scan_horizon(series)
-    stream = provision_candidate_stream(series, horizon, oracle)
+    if stream is None:
+        stream = provision_candidate_stream(series, horizon, oracle)
     if depth == 0:
         return subseries_to_rearrangement(series, stream, (), 0, horizon)
     checkpoints = derive_depth_checkpoints(series, stream, depth, horizon)
@@ -1260,44 +1267,53 @@ def verify_certificate(
                 f"prefix of length {boundary} is not a bijection of an initial segment"
             )
 
+    cps = cert.checkpoints
+    positions, values, bounds, relations, kinds = zip(*cps) if cps else ((),) * 5
+    try:
+        pos = np.array(positions, dtype=np.int64)
+    except OverflowError:
+        return issues + ["checkpoint position outside the 64-bit range"]
+    partial = np.array([kind == "partial-sum" for kind in kinds], dtype=bool)
+
     if cert.interval is not None:
         lo, hi = cert.interval
-        covered = {
-            c.position for c in cert.checkpoints if c.kind == "partial-sum"
-        }
-        missing = [j for j in range(lo, hi) if j not in covered]
-        if missing:
-            issues.append(
-                f"interval [{lo}, {hi}) misses checkpoints at {missing[:5]}"
-            )
+        # the first five gaps lie among the first len(pos) + 5 positions
+        span = max(min(hi - lo, pos.size + 5), 0)
+        inside = pos[partial]
+        covered = np.zeros(span, dtype=bool)
+        covered[inside[(inside >= lo) & (inside < lo + span)] - lo] = True
+        missing = np.flatnonzero(~covered)[:5] + lo
+        if missing.size:
+            issues.append(f"interval [{lo}, {hi}) misses checkpoints at {missing.tolist()}")
         if cert.talagrand is not None and cert.interval_index is not None:
             window = interval(cert.talagrand, cert.interval_index)
             if (window.start, window.stop) != (lo, hi):
                 issues.append("recorded interval does not match its index")
 
-    sum_cps = [c for c in cert.checkpoints if c.kind == "partial-sum"]
-    if sum_cps:
-        order = sorted(range(len(sum_cps)), key=lambda i: sum_cps[i].position)
-        positions = [sum_cps[i].position for i in order]
+    # partial-sum checkpoints are checked in position order
+    order = np.flatnonzero(partial)[np.argsort(pos[partial], kind="stable")]
+    if order.size:
         try:
-            values = norms_at(series, stem, positions)
+            recomputed = norms_at(series, stem, pos[order])
         except Exception as exc:  # noqa: BLE001  - report, never crash
             issues.append(f"cannot recompute partial sums: {exc}")
-            values = None
-        if values is not None:
-            for rank, i in enumerate(order):
-                cp = sum_cps[i]
-                recomputed = float(values[rank])
-                if abs(recomputed - cp.value) > DELTA:
-                    issues.append(
-                        f"checkpoint at position {cp.position}: recorded norm "
-                        f"{cp.value!r} but recomputed {recomputed!r}"
-                    )
-                elif not relation_holds(recomputed, cp.bound, cp.relation):
-                    issues.append(
-                        f"checkpoint at position {cp.position}: norm {recomputed!r} "
-                        f"fails {cp.relation} {cp.bound!r}"
-                    )
+        else:
+            recorded = np.array(values, dtype=np.float64)[order]
+            with np.errstate(invalid="ignore"):
+                far = np.abs(recomputed - recorded) > DELTA
+            held = np.ones(order.size, dtype=bool)
+            near = order[~far]
+            held[~far] = relation_holds(
+                recomputed[~far],
+                np.array(bounds, dtype=np.float64)[near],
+                np.asarray(relations, dtype=object)[near],
+            )
+            for rank in np.flatnonzero(far | ~held):
+                cp, value = cps[order[rank]], float(recomputed[rank])
+                issues.append(f"checkpoint at position {cp.position}: " + (
+                    f"recorded norm {cp.value!r} but recomputed {value!r}" if far[rank]
+                    else f"norm {value!r} fails {cp.relation} {cp.bound!r}"
+                ))
 
     for cp in cert.checkpoints:
         if cp.kind != "term-norm":

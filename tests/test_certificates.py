@@ -1,7 +1,11 @@
 import copy
+import dataclasses
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serieswitness import (
     RearrStem,
@@ -11,6 +15,8 @@ from serieswitness import (
 )
 from serieswitness.certificates import (
     SchemaMismatch,
+    _bits_from_rle,
+    _bits_to_rle,
     certificate_from_json,
     certificate_to_json,
     document_for_certificate,
@@ -22,7 +28,11 @@ from serieswitness.certificates import (
     verify_document,
     write_document,
 )
+from serieswitness.cli import main
 from serieswitness.runners import execute_config, resolve_config
+from serieswitness.series import catalog_series, norms_at
+from serieswitness.spaces import DELTA
+from serieswitness.witnesses import verify_certificate
 
 
 def _witness_doc(tmp_path, config):
@@ -183,3 +193,133 @@ def test_exhaustion_document_reruns(tmp_path):
     lying["config"]["series"] = "alt-harmonic"
     lying["config"]["horizon"] = 10**6
     assert verify_document(lying)
+
+
+# ---------------------------------------------------------------------------
+# the document layer against the per-bit and per-checkpoint loops it replaced
+
+DATA = pathlib.Path(__file__).parent / "data"
+AM_CONFIG = {"series": "alt-harmonic", "construction": "dense-open-am", "m": 2,
+             "horizon": 20000}
+
+
+def reference_bits_to_rle(bits):
+    out = []
+    for b in bits:
+        if out and out[-1][0] == b:
+            out[-1][1] += 1
+        else:
+            out.append([b, 1])
+    return out
+
+
+def reference_bits_from_rle(rle):
+    bits = []
+    for b, count in rle:
+        bits.extend([int(b)] * int(count))
+    return tuple(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_bits_to_rle_matches_the_loop(bits):
+    rle = _bits_to_rle(tuple(bits))
+    assert rle == reference_bits_to_rle(tuple(bits))
+    assert all(type(x) is int for pair in rle for x in pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 40)), max_size=30))
+def test_bits_from_rle_matches_the_loop(pairs):
+    rle = [list(pair) for pair in pairs]
+    assert _bits_from_rle(rle) == reference_bits_from_rle(rle)
+
+
+def test_documents_are_one_line_of_json(tmp_path):
+    doc, path = _witness_doc(tmp_path, AM_CONFIG)
+    text = dumps_document(doc)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == doc
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_an_indented_document_still_verifies(tmp_path, capsys):
+    # written with the earlier `indent=2` encoder; the payload is unchanged
+    path = DATA / "dense_open_am_indented.json"
+    assert path.read_text(encoding="utf-8").count("\n") > 100
+    assert main(["verify", str(path)]) == 0
+    doc, _ = _witness_doc(tmp_path, AM_CONFIG)
+    assert payload_without_timing(load_document(str(path))) == payload_without_timing(doc)
+
+
+def reference_checkpoint_issues(cert, series):
+    """Interval coverage and the per-checkpoint loop as verify_certificate
+    ran them before it compared arrays."""
+    def holds(value, bound, relation):
+        return value > bound + DELTA if relation == ">" else value >= bound - DELTA
+
+    issues = []
+    if cert.interval is not None:
+        lo, hi = cert.interval
+        covered = {c.position for c in cert.checkpoints if c.kind == "partial-sum"}
+        missing = [j for j in range(lo, hi) if j not in covered]
+        if missing:
+            issues.append(f"interval [{lo}, {hi}) misses checkpoints at {missing[:5]}")
+    sum_cps = [c for c in cert.checkpoints if c.kind == "partial-sum"]
+    order = sorted(range(len(sum_cps)), key=lambda i: sum_cps[i].position)
+    values = norms_at(series, cert.stem, [sum_cps[i].position for i in order])
+    for rank, i in enumerate(order):
+        cp = sum_cps[i]
+        recomputed = float(values[rank])
+        if abs(recomputed - cp.value) > DELTA:
+            issues.append(
+                f"checkpoint at position {cp.position}: recorded norm "
+                f"{cp.value!r} but recomputed {recomputed!r}"
+            )
+        elif not holds(recomputed, cp.bound, cp.relation):
+            issues.append(
+                f"checkpoint at position {cp.position}: norm {recomputed!r} "
+                f"fails {cp.relation} {cp.bound!r}"
+            )
+    return issues
+
+
+def _tamperings(cps):
+    yield "value", [cp._replace(value=cp.value + 1e-6) if i % 7 == 3 else cp
+                    for i, cp in enumerate(cps)]
+    yield "bound", [cp._replace(bound=cp.value + 0.5) if i % 5 == 1 else cp
+                    for i, cp in enumerate(cps)]
+    yield "dropped", [cp for i, cp in enumerate(cps) if i not in (0, 9, 10, 11, 40)]
+    yield "mixed", list(reversed([
+        cp._replace(value=cp.value - 1.0) if i % 2 else cp._replace(bound=cp.bound + 9.0)
+        for i, cp in enumerate(cps) if i % 3
+    ])) + [cps[4], cps[4]._replace(value=0.0)]
+
+
+@pytest.mark.parametrize("construction", ["dense-open-am", "dense-open-bm"])
+def test_tampered_checkpoints_give_the_loops_issues(construction):
+    config = resolve_config({**AM_CONFIG, "construction": construction})
+    _, cert = execute_config(config)
+    series = catalog_series(cert.series_name)
+    assert verify_certificate(cert) == reference_checkpoint_issues(cert, series) == []
+    for what, cps in _tamperings(cert.checkpoints):
+        tampered = dataclasses.replace(cert, checkpoints=tuple(cps))
+        issues = verify_certificate(tampered)
+        assert issues, what
+        assert issues == reference_checkpoint_issues(tampered, series), what
+
+
+def test_a_position_past_64_bits_is_an_issue_not_a_crash():
+    _, cert = execute_config(resolve_config(AM_CONFIG))
+    huge = cert.checkpoints[0]._replace(position=2**70)
+    tampered = dataclasses.replace(cert, checkpoints=(huge,) + cert.checkpoints[1:])
+    assert verify_certificate(tampered) == ["checkpoint position outside the 64-bit range"]
+
+
+def test_a_huge_interval_reports_its_first_missing_positions():
+    _, cert = execute_config(resolve_config(AM_CONFIG))
+    lo, _ = cert.interval
+    tampered = dataclasses.replace(cert, interval=(lo, 10**15), talagrand=None)
+    assert verify_certificate(tampered)[0] == (
+        f"interval [{lo}, {10**15}) misses checkpoints at {list(range(2 * lo, 2 * lo + 5))}"
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import serieswitness.series as series_module
 from serieswitness import (
+    IndexRun,
     PartialSumTrace,
     RearrStem,
     SelectionStem,
@@ -23,7 +24,13 @@ from serieswitness import (
     prefix_norms,
 )
 from serieswitness.ideals import interval
-from serieswitness.series import _signs, first_crossing, max_norm
+from serieswitness.series import (
+    SeriesOracle,
+    _signs,
+    first_crossing,
+    first_crossings,
+    max_norm,
+)
 from serieswitness.spaces import DELTA
 
 
@@ -198,3 +205,148 @@ def test_catalog_terms_match_their_formulas():
     coords, coeffs = catalog_series("decaying-signed-c0").columns(n)
     assert coords.tolist() == [math.ceil(int(k) / 2) for k in n]
     assert np.array_equal(coeffs, [(-1.0) ** int(k) / math.ceil(int(k) / 2) for k in n])
+
+
+# ---------------------------------------------------------------------------
+# the cache-blocked scalar engine
+
+
+def reference_scalar_norms(series, stem, horizon, chunk=1 << 20):
+    """`running + np.cumsum(columns(chunk))` for each chunk of the stem, the
+    arithmetic the scalar engine had before it was blocked."""
+    if isinstance(stem, SelectionStem):
+        bits = stem.to_numpy()[:horizon]
+        chunks = [
+            (np.arange(lo + 1, min(lo + chunk, bits.size) + 1), bits[lo:lo + chunk])
+            for lo in range(0, bits.size, chunk)
+        ]
+    else:
+        chunks = [(part, None) for part in stem.iter_chunks(chunk)]
+    running, out, produced = 0.0, [], 0
+    for part, weights in chunks:
+        part = part[:horizon - produced]
+        coeffs = series.columns(part)[1]
+        if weights is not None:
+            coeffs = coeffs * weights[:part.size]
+        sums = running + np.cumsum(coeffs)
+        running = float(sums[-1])
+        out.append(np.abs(sums))
+        produced += part.size
+        if produced >= horizon:
+            break
+    return np.concatenate(out)
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+LONG = (1 << 21) + 12345  # three chunks; the last one ends inside a block
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "growing-real"])
+def test_blocked_engine_on_one_long_run(name):
+    series = catalog_series(name)
+    stem = SubseqStem.identity(LONG)
+    horizon = LONG - 7
+    assert horizon % series_module._BLOCK
+    assert_bitwise_equal(
+        prefix_norms(series, stem, horizon), reference_scalar_norms(series, stem, horizon)
+    )
+
+
+def test_blocked_engine_with_run_boundaries_inside_blocks():
+    # runs of lengths that are not multiples of the block, one longer than
+    # a chunk, interleaved so the rearrangement stays injective
+    series = catalog_series("alt-harmonic")
+    stem = RearrStem.concat_runs(
+        RearrStem.from_values(np.arange(2, 2 * 40_001, 2)),
+        (IndexRun(1, 2, 70_001), IndexRun(4_000_000, -3, 1_100_003)),
+    )
+    horizon = len(stem)
+    assert_bitwise_equal(
+        prefix_norms(series, stem, horizon), reference_scalar_norms(series, stem, horizon)
+    )
+
+
+def test_blocked_engine_on_hundreds_of_short_runs():
+    series = catalog_series("alt-harmonic")
+    rng = np.random.default_rng(5)
+    values = rng.choice(np.arange(1, 5_000), size=900, replace=False)
+    stem = RearrStem.from_values(values)
+    assert len(stem.runs) > 300
+    assert_bitwise_equal(
+        prefix_norms(series, stem, 900), reference_scalar_norms(series, stem, 900)
+    )
+
+
+def test_blocked_engine_on_a_selection_stem():
+    series = catalog_series("alt-harmonic")
+    rng = np.random.default_rng(11)
+    length = (1 << 20) + (1 << 15) + 17
+    stem = SelectionStem(tuple(rng.integers(0, 2, length).tolist()))
+    assert_bitwise_equal(
+        prefix_norms(series, stem, length), reference_scalar_norms(series, stem, length)
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+@pytest.mark.parametrize("kind", ["subseq", "rearr", "selection"])
+def test_blocked_engine_with_tiny_blocks(monkeypatch, block, kind):
+    # many block and chunk boundaries on a small stem
+    monkeypatch.setattr(series_module, "_CHUNK", 37)
+    monkeypatch.setattr(series_module, "_BLOCK", block)
+    series = catalog_series("alt-harmonic")
+    stem = _random_stem(np.random.default_rng(block), kind, 300)
+    assert_bitwise_equal(
+        prefix_norms(series, stem, 300), reference_scalar_norms(series, stem, 300, 37)
+    )
+
+
+def counting(series):
+    """The series with a rule that counts the indices it evaluates."""
+    seen = []
+
+    def rule(n):
+        seen.append(n.size)
+        return series.rule(n)
+
+    return SeriesOracle(series.name, series.space, series.description,
+                        series.liminf_norm_zero, series.limsup_norm_infinite, rule), seen
+
+
+def test_first_crossing_and_max_norm_in_the_second_block_of_the_second_chunk():
+    # |S_n| = ceil(n / 2) on growing-real, so a threshold t is first reached
+    # at n = 2t - 1 and first passed strictly at n = 2t + 1
+    block = series_module._BLOCK
+    series, seen = counting(catalog_series("growing-real"))
+    stem = SubseqStem.identity(1 << 21)
+    target = (1 << 20) + block + 101
+    threshold = (target + 1) // 2
+    norms = reference_scalar_norms(series, stem, 1 << 21)
+    seen.clear()
+    assert first_crossing(series, stem, float(threshold), strict=False) == target
+    assert int(np.argmax(norms >= threshold)) + 1 == target
+    # the scan stopped with the block that holds the crossing
+    assert sum(seen) == (1 << 20) + 2 * block
+    assert first_crossing(series, stem, float(threshold), strict=True) == target + 2
+    for start, end in ((1, 1 << 21), (target, target + 5), ((1 << 20) + 1, target)):
+        assert max_norm(series, stem, start, end) == float(norms[start - 1:end].max())
+    assert first_crossing(
+        series, stem, float(threshold), strict=True, start_pos=target, end_pos=target + 1
+    ) is None
+
+
+def test_first_crossings_walks_the_levels_in_one_scan():
+    series, seen = counting(catalog_series("growing-real"))
+    stem = SubseqStem.identity(1 << 21)
+    # level 3 twice: the second search starts after the first hit; the last
+    # level is first reached at 2^21 + 13, past the end of the stem
+    levels = [1.0, 3.0, 3.0, float((1 << 20) + 7)]
+    seen.clear()
+    assert first_crossings(series, stem, levels) == [1, 5, 6]
+    assert sum(seen) == 1 << 21
+    seen.clear()
+    assert first_crossings(series, stem, levels[:3]) == [1, 5, 6]
+    assert sum(seen) == series_module._BLOCK

@@ -4,7 +4,8 @@ Each cell runs at a small horizon and writes a document; the test compares
 the sha256 of `payload_without_timing` with the recorded value, so any
 change to a certificate, verdict or exhaustion payload shows up here.
 Exhaustion cells are pinned too.  The cells that exit 1 write no document
-and are not listed.
+and are not listed.  Each document is written and loaded once more, and the
+second copy must hash the same.
 
 To re-pin after an intended payload change (which also bumps
 `schema_version`), print the digests with
@@ -16,7 +17,7 @@ import hashlib
 
 import pytest
 
-from serieswitness.certificates import load_document, payload_without_timing
+from serieswitness.certificates import load_document, payload_without_timing, write_document
 from serieswitness.cli import main
 
 SCALAR_HORIZON = "20000"
@@ -71,20 +72,23 @@ GOLDENS = {
 }
 
 
+def digest_of(path):
+    return hashlib.sha256(payload_without_timing(load_document(str(path))).encode()).hexdigest()
+
+
 def run_cell(series, construction, out):
     horizon = SCALAR_HORIZON if series in ("alt-harmonic", "growing-real") else SEQUENCE_HORIZON
     argv = ["run", "--series", series, "--construction", construction,
             "--horizon", horizon, *FLAGS[construction], "--out", str(out)]
     code = main(argv)
-    digest = hashlib.sha256(
-        payload_without_timing(load_document(str(out))).encode()
-    ).hexdigest()
-    return code, digest
+    return code, digest_of(out)
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDENS), ids="/".join)
 def test_payload_is_pinned(tmp_path, cell):
     assert run_cell(*cell, tmp_path / "doc.json") == GOLDENS[cell]
+    write_document(load_document(str(tmp_path / "doc.json")), str(tmp_path / "again.json"))
+    assert digest_of(tmp_path / "again.json") == GOLDENS[cell][1]
 
 
 if __name__ == "__main__":
