@@ -44,11 +44,15 @@ class SchemaMismatch(ValueError):
     """Document schema version is not the one this build understands."""
 
 
+class DocumentError(ValueError):
+    """A document is not an object, or a top-level field is missing or ill-typed."""
+
+
 # ---------------------------------------------------------------------------
 # stem serialization
 
 
-def _bits_to_rle(bits: tuple[int, ...]) -> list[list[int]]:
+def _bits_to_rle(bits: np.ndarray | tuple[int, ...]) -> list[list[int]]:
     word = np.asarray(bits, dtype=np.int64)
     starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]]) if word.size else word
     counts = np.diff(np.r_[starts, word.size])
@@ -62,7 +66,7 @@ def _bits_from_rle(rle: list[list[int]]) -> tuple[int, ...]:
 
 def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
     if isinstance(stem, SelectionStem):
-        return {"kind": "selection", "rle": _bits_to_rle(stem.bits)}
+        return {"kind": "selection", "rle": _bits_to_rle(stem.to_numpy())}
     kind = "subseq" if isinstance(stem, SubseqStem) else "rearr"
     return {
         "kind": kind,
@@ -244,11 +248,16 @@ def load_document(path: str) -> dict[str, Any]:
 
 
 def _check_schema(doc: dict[str, Any]) -> None:
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a document is a JSON object, not {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"document schema version {version!r}, expected {SCHEMA_VERSION!r}"
         )
+    for name, kind in (("kind", str), ("config", dict), ("result", dict)):
+        if not isinstance(doc.get(name), kind):
+            raise DocumentError(f"document field {name!r} is missing or not a {kind.__name__}")
 
 
 def _verify_verdict(doc: dict[str, Any]) -> list[str]:
@@ -277,7 +286,8 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
 def verify_document(doc: dict[str, Any], rerun_exhaustion: bool = True) -> list[str]:
     """Recompute a loaded document against the catalog.
 
-    Returns discrepancies; raises SchemaMismatch for foreign documents.
+    Returns discrepancies; raises SchemaMismatch for foreign documents and
+    DocumentError for a missing or ill-typed top-level field.
     Exhaustion documents are re-run with their recorded configuration to
     confirm the search still comes up empty.
     """

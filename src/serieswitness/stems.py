@@ -9,7 +9,7 @@ multi-million-entry stems cheap to build, serialize and re-verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,7 +120,15 @@ class _RunStem:
         object.__setattr__(self, "runs", tuple(runs))
         self._validate()
 
-    def _validate(self) -> None:
+    @classmethod
+    def _trusted(cls, runs: tuple[IndexRun, ...]):
+        """A stem over runs already known to pass `_validate`."""
+        stem = object.__new__(cls)
+        object.__setattr__(stem, "runs", runs)
+        return stem
+
+    def _validate(self, fresh: int = 0) -> None:
+        """Raise ValueError unless the stem is valid, given that runs[:fresh] are."""
         raise NotImplementedError
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -238,31 +246,42 @@ class _RunStem:
         mine = self.to_numpy(len(base))
         return np.array_equal(mine, base.to_numpy())
 
-    def cover_position(self, targets: Iterable[int]) -> int | None:
+    def prefix(self, length: int):
+        # a prefix of a valid stem is valid
+        return self._trusted(self._prefix_runs(length))
+
+    def concat_runs(self, runs: Iterable[IndexRun]):
+        stem = self._trusted(self.runs + tuple(runs))
+        stem._validate(len(self.runs))
+        return stem
+
+    def cover_position(self, targets: np.ndarray | Sequence[int]) -> int | None:
         """Smallest 1-based position p with targets contained in the first
-        p values, or None if the stem never covers them."""
-        remaining = set(targets)
-        if not remaining:
-            return 0
-        position = 0
-        for chunk in self.iter_chunks():
-            for value in chunk:
-                position += 1
-                remaining.discard(int(value))
-                if not remaining:
-                    return position
-        return None
+        p values, or None if the stem never covers them.
+
+        Validated stems are injective, so p is the largest position of any
+        target: one array test per run, O(runs x targets) at any length.
+        """
+        t = np.asarray(targets, dtype=np.int64)
+        found = np.zeros(t.size, dtype=bool)
+        cover = offset = 0
+        for run in self.runs:
+            hit = (t >= run.min_value) & (t <= run.max_value) & ((t - run.start) % run.step == 0)
+            if hit.any():
+                last = int(((t[hit] - run.start) // run.step).max())
+                cover = max(cover, offset + last + 1)
+                found |= hit
+            offset += run.count
+        return cover if found.all() else None
 
 
 class SubseqStem(_RunStem):
     """Finite prefix of a strictly increasing index sequence."""
 
-    def _validate(self) -> None:
-        previous = 0
-        for run in self.runs:
-            if run.step <= 0:
-                raise ValueError("subsequence stems must increase")
-            if run.start <= previous:
+    def _validate(self, fresh: int = 0) -> None:
+        previous = self.runs[fresh - 1].last if fresh else 0
+        for run in self.runs[fresh:]:
+            if run.step <= 0 or run.start <= previous:
                 raise ValueError("subsequence stems must increase")
             previous = run.last
 
@@ -282,12 +301,6 @@ class SubseqStem(_RunStem):
             return cls(())
         return cls((IndexRun(start, step, count),))
 
-    def prefix(self, length: int) -> "SubseqStem":
-        return SubseqStem(self._prefix_runs(length))
-
-    def concat_runs(self, runs: Iterable[IndexRun]) -> "SubseqStem":
-        return SubseqStem(self.runs + tuple(runs))
-
     def first_position_above(self, bound: int) -> int | None:
         """Smallest 1-based position whose value exceeds `bound`."""
         position = 1
@@ -304,12 +317,21 @@ class SubseqStem(_RunStem):
 class RearrStem(_RunStem):
     """Finite injective index sequence (a rearrangement prefix)."""
 
-    def _validate(self) -> None:
+    def _validate(self, fresh: int = 0) -> None:
+        """Injectivity by a sweep over the runs in order of minimum value:
+        `runs_intersect` is called only on pairs whose value ranges overlap
+        and that involve a run at index >= `fresh`.  Stems whose runs keep
+        to separate ranges cost O(n log n); many pairwise-disjoint runs
+        sharing one range (residue classes, say) still cost a call per
+        pair."""
         runs = self.runs
-        for i in range(len(runs)):
-            for j in range(i + 1, len(runs)):
-                if runs_intersect(runs[i], runs[j]):
+        live: list[tuple[int, int]] = []  # (max value, index) of open runs
+        for lo, hi, index in sorted((r.min_value, r.max_value, i) for i, r in enumerate(runs)):
+            live = [item for item in live if item[0] >= lo]
+            for _, other in live:
+                if max(index, other) >= fresh and runs_intersect(runs[other], runs[index]):
                     raise ValueError("rearrangement stems must be injective")
+            live.append((hi, index))
 
     @classmethod
     def from_values(cls, values: Sequence[int] | np.ndarray) -> "RearrStem":
@@ -321,25 +343,16 @@ class RearrStem(_RunStem):
             return cls(())
         return cls((IndexRun(1, 1, length),))
 
-    def prefix(self, length: int) -> "RearrStem":
-        return RearrStem(self._prefix_runs(length))
-
-    def concat_runs(self, runs: Iterable[IndexRun]) -> "RearrStem":
-        return RearrStem(self.runs + tuple(runs))
-
     def is_prefix_bijection(self, length: int | None = None) -> bool:
-        """True if the first `length` values are exactly {1, ..., length}."""
+        """True if the first `length` values are exactly {1, ..., length}.
+
+        Validation makes the values distinct integers >= 1, so `length` of
+        them are {1, ..., length} exactly when their maximum is `length`:
+        O(runs), and nothing is allocated by length."""
         length = len(self) if length is None else length
-        if length > len(self):
+        if not 0 <= length <= len(self):
             return False
-        values = self.to_numpy(length)
-        if values.size == 0:
-            return True
-        if values.max(initial=0) != length:
-            return False
-        seen = np.zeros(length + 1, dtype=bool)
-        seen[values] = True
-        return bool(seen[1:].all())
+        return max((r.max_value for r in self._prefix_runs(length)), default=0) == length
 
 
 @dataclass(frozen=True)
@@ -347,10 +360,14 @@ class SelectionStem:
     """Finite 0-1 word; position i selects (or drops) the i-th series term."""
 
     bits: tuple[int, ...] = ()
+    _word: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not set(self.bits) <= {0, 1}:
             raise ValueError("selection stems are words over {0, 1}")
+        word = np.fromiter(self.bits, dtype=np.int64, count=len(self.bits))
+        word.flags.writeable = False
+        object.__setattr__(self, "_word", word)
 
     @classmethod
     def from_word(cls, word: str) -> "SelectionStem":
@@ -375,7 +392,7 @@ class SelectionStem:
         return tuple(i + 1 for i, b in enumerate(self.bits) if b)
 
     def to_numpy(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.int64)
+        return self._word
 
 
 IndexerStem = SelectionStem | SubseqStem | RearrStem

@@ -774,7 +774,7 @@ def nowhere_dense_witness_rearr(
     _validate_prior_checkpoints(
         series, p_prime, p_prime_checkpoints, "unboundedness witness"
     )
-    cover = p_prime.cover_position(base.values())
+    cover = p_prime.cover_position(base.to_numpy())
     if cover is None:
         raise ScanExhausted(
             "nowhere-dense-rearr",
@@ -995,7 +995,7 @@ def dense_open_witness_Cm(
     horizon = scan_horizon or default_scan_horizon(series)
     _validate_prior_checkpoints(series, t, t_checkpoints, "unboundedness witness")
     z = max(r, base.max_value)
-    cover = t.cover_position(base.values())
+    cover = t.cover_position(base.to_numpy())
     if cover is None:
         raise ScanExhausted(
             "dense-open-Cm", "t never covers the base stem's values", len(t)

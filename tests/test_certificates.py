@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,8 @@ from serieswitness.cli import main
 from serieswitness.runners import execute_config, resolve_config
 from serieswitness.series import catalog_series, norms_at
 from serieswitness.spaces import DELTA
-from serieswitness.witnesses import verify_certificate
+from serieswitness.stems import IndexRun
+from serieswitness.witnesses import Checkpoint, WitnessCertificate, verify_certificate
 
 
 def _witness_doc(tmp_path, config):
@@ -323,3 +325,39 @@ def test_a_huge_interval_reports_its_first_missing_positions():
     assert verify_certificate(tampered)[0] == (
         f"interval [{lo}, {10**15}) misses checkpoints at {list(range(2 * lo, 2 * lo + 5))}"
     )
+
+
+def test_a_huge_stage_boundary_is_checked_without_a_mask():
+    # The identity on {1..10^15} as one run: a bijection check that
+    # allocated by length could not run at all.
+    size = 10**15
+    stem = RearrStem((IndexRun(1, 1, size),))
+    series = catalog_series("alt-harmonic")
+    values = norms_at(series, stem, [1, 3])
+    cert = WitnessCertificate(
+        construction="rearrangement",
+        series_name=series.name,
+        stem=stem,
+        checkpoints=(
+            Checkpoint(1, float(values[0]), 1.0, ">="),
+            Checkpoint(3, float(values[1]), 0.5, ">"),
+        ),
+        stage_boundaries=(size,),
+        details=(("depth", 1),),
+    )
+    doc = json.loads(dumps_document(document_for_certificate(
+        cert, {"series": series.name, "construction": "rearrangement", "depth": 1}
+    )))
+    past = copy.deepcopy(doc)
+    past["result"]["stage_boundaries"] = [size + 1, -1]
+    tracemalloc.start()
+    try:
+        assert verify_document(doc) == []
+        assert verify_document(past) == [
+            f"prefix of length {size + 1} is not a bijection of an initial segment",
+            "prefix of length -1 is not a bijection of an initial segment",
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

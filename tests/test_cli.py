@@ -142,6 +142,42 @@ def test_verify_schema_mismatch(tmp_path):
     assert run_cli(["verify", str(stale)]) == 1
 
 
+def _drop(name):
+    def edit(doc):
+        del doc[name]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: [doc], "a document is a JSON object, not list"),
+        (_drop("result"), "document field 'result' is missing"),
+        (_drop("kind"), "document field 'kind' is missing"),
+        (_drop("config"), "document field 'config' is missing"),
+        (lambda doc: {**doc, "result": [1]}, "document field 'result' is missing or not"),
+    ],
+)
+def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):
+    out = tmp_path / "cert.json"
+    assert run_cli(
+        [
+            "run",
+            "--series", "alt-harmonic",
+            "--construction", "rearrangement",
+            "--depth", "1",
+            "--horizon", "100",
+            "--out", str(out),
+        ]
+    ) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(load_document(str(out)))))
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_env_horizon_override(tmp_path):
     out = tmp_path / "cert.json"
     code = run_cli(

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import serieswitness.stems as stems_module
 from serieswitness.stems import (
     IndexRun,
     RearrStem,
@@ -83,9 +85,9 @@ def test_extends_and_cover():
     longer = RearrStem.from_values((2, 1, 4, 3))
     assert longer.extends(base)
     assert not base.extends(longer)
-    assert longer.cover_position({1, 2}) == 2
-    assert longer.cover_position({3}) == 4
-    assert longer.cover_position({9}) is None
+    assert longer.cover_position([1, 2]) == 2
+    assert longer.cover_position([3]) == 4
+    assert longer.cover_position([9]) is None
 
 
 def test_extend_to_prefix_bijection_examples():
@@ -151,6 +153,21 @@ def test_selection_stem():
         SelectionStem((1, 2))
 
 
+def test_selection_stem_keeps_one_read_only_word():
+    stem = SelectionStem.from_word("1011")
+    word = stem.to_numpy()
+    assert word is stem.to_numpy()
+    assert word.dtype == np.int64 and word.tolist() == [1, 0, 1, 1]
+    assert not word.flags.writeable
+    same = SelectionStem((1, 0, 1, 1))
+    assert stem == same and hash(stem) == hash(same)
+    assert stem != SelectionStem((1, 0, 1))
+    assert repr(stem) == "SelectionStem(bits=(1, 0, 1, 1))"
+    for bad in [(1, 2), (0.5,), ("1",), (1, None)]:
+        with pytest.raises(ValueError):
+            SelectionStem(bad)
+
+
 def test_big_stem_stays_cheap():
     stem = SubseqStem.arithmetic(2, 2, 5_000_000)
     assert len(stem) == 5_000_000
@@ -165,3 +182,142 @@ def test_equality_by_values():
     a = SubseqStem.from_values((1, 2, 3, 4))
     b = SubseqStem((IndexRun(1, 1, 2), IndexRun(3, 1, 2)))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the run algebra against the value-by-value references it replaced
+
+
+def materialise(runs):
+    return [r.start + i * r.step for r in runs for i in range(r.count)]
+
+
+def reference_cover_position(stem, targets):
+    remaining = set(targets)
+    if not remaining:
+        return 0
+    for position, value in enumerate(stem.values(), 1):
+        remaining.discard(value)
+        if not remaining:
+            return position
+    return None
+
+
+def reference_is_prefix_bijection(stem, length):
+    if length > len(stem):
+        return False
+    values = stem.to_numpy(length)
+    if values.size == 0:
+        return True
+    if values.max(initial=0) != length:
+        return False
+    seen = np.zeros(length + 1, dtype=bool)
+    seen[values] = True
+    return bool(seen[1:].all())
+
+
+@st.composite
+def index_runs(draw):
+    low = draw(st.integers(1, 30))
+    step = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return IndexRun(low + (count - 1) * step, -step, count)
+    return IndexRun(low, step, count)
+
+
+run_lists = st.lists(index_runs(), max_size=8)
+injective_values = st.lists(st.integers(1, 40), unique=True, max_size=15)
+
+
+def disjoint_runs(runs):
+    """The runs, each dropped if it meets one kept before it."""
+    kept, seen = [], set()
+    for run in runs:
+        values = set(materialise([run]))
+        if not values & seen:
+            kept.append(run)
+            seen |= values
+    return kept
+
+
+@given(run_lists)
+@example([IndexRun(5, 1, 1), IndexRun(5, 1, 1)])
+@example([IndexRun(4, 1, 3), IndexRun(4, 1, 3)])
+@example([IndexRun(1, 3, 5), IndexRun(2, 3, 5)])
+@example([IndexRun(1, 3, 5), IndexRun(4, 3, 5)])
+@example([IndexRun(13, -3, 5), IndexRun(2, 3, 5), IndexRun(7, 3, 1)])
+@example([IndexRun(2, 2, 5), IndexRun(1, 2, 6), IndexRun(30, -7, 4)])
+@settings(max_examples=400)
+def test_rearr_stem_raises_exactly_on_repeats(runs):
+    values = materialise(runs)
+    if len(set(values)) == len(values):
+        assert list(RearrStem(runs).values()) == values
+    else:
+        with pytest.raises(ValueError, match="injective"):
+            RearrStem(runs)
+
+
+@given(injective_values, run_lists)
+@example([1, 2, 3], [IndexRun(9, -3, 3)])
+@example([4, 8], [IndexRun(2, 2, 2), IndexRun(10, -2, 2)])
+@settings(max_examples=400)
+def test_concat_runs_raises_exactly_on_repeats(head, tail):
+    stem = RearrStem.from_values(head)
+    values = head + materialise(tail)
+    if len(set(values)) == len(values):
+        assert list(stem.concat_runs(tail).values()) == values
+    else:
+        with pytest.raises(ValueError, match="injective"):
+            stem.concat_runs(tail)
+
+
+@given(st.lists(st.integers(1, 40), unique=True, max_size=15).map(sorted), run_lists)
+@settings(max_examples=200)
+def test_subseq_concat_agrees_with_full_validation(head, tail):
+    stem = SubseqStem.from_values(head)
+    try:
+        whole = SubseqStem(stem.runs + tuple(tail))
+    except ValueError:
+        with pytest.raises(ValueError):
+            stem.concat_runs(tail)
+    else:
+        assert stem.concat_runs(tail) == whole
+
+
+@given(run_lists, st.lists(st.integers(-2, 45), max_size=6))
+@example([IndexRun(13, -3, 5)], [7])
+@example([IndexRun(13, -3, 5)], [8])
+@example([IndexRun(13, -3, 5), IndexRun(2, 3, 3)], [2, 13, 1])
+@example([IndexRun(3, 1, 4)], [])
+@settings(max_examples=400)
+def test_cover_position_matches_the_walk(runs, targets):
+    stem = RearrStem(disjoint_runs(runs))
+    expected = reference_cover_position(stem, targets)
+    assert stem.cover_position(np.array(targets, dtype=np.int64)) == expected
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       injective_values, st.integers(0, 30))
+@settings(max_examples=400)
+def test_is_prefix_bijection_matches_the_mask(perm, extra, length):
+    values = list(perm) + [v + len(perm) for v in extra]
+    stem = RearrStem.from_values(values)
+    length = min(length, len(stem) + 1)
+    assert stem.is_prefix_bijection(length) == reference_is_prefix_bijection(stem, length)
+
+
+def test_validation_work_is_linear_in_the_run_count(monkeypatch):
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return runs_intersect(a, b)
+
+    monkeypatch.setattr(stems_module, "runs_intersect", counting)
+    values = np.random.default_rng(20_000).permutation(20_000) + 1
+    stem = RearrStem.from_values(values)
+    assert stem.is_prefix_bijection()
+    assert len(stem.runs) > 10_000
+    assert calls <= len(stem.runs)
