@@ -9,14 +9,10 @@ ideal-boundedness verdicts backed by interval counting.
 
 from .spaces import (
     DELTA,
-    DimensionMismatch,
     FiniteSupportVector,
     SpaceSpec,
-    axpy,
     basis,
-    euclidean,
     fsv,
-    norm,
     real_line,
     scalar,
     sequence_space,
@@ -59,19 +55,16 @@ from .ideals import (
 )
 from .witnesses import (
     Checkpoint,
-    GrowthOracle,
     InconsistentGrowthWitness,
     PatternTooLarge,
     PreconditionViolation,
     ScanExhausted,
     WitnessCertificate,
-    default_growth_oracle,
     dense_open_witness_Am,
     dense_open_witness_Bm,
     dense_open_witness_Cm,
     derive_depth_checkpoints,
     grow_unbounded_subseries,
-    growth_oracle,
     limsup_subseries,
     nowhere_dense_witness_rearr,
     nowhere_dense_witness_subseq,

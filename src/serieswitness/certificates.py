@@ -22,6 +22,7 @@ from .ideals import (
     exceedance_report,
     verdict_status,
 )
+from .runners import execute_config, resolve_config
 from .series import catalog_series, partial_sums
 from .stems import (
     IndexerStem,
@@ -33,6 +34,7 @@ from .stems import (
 )
 from .witnesses import (
     Checkpoint,
+    ScanExhausted,
     WitnessCertificate,
     verify_certificate,
 )
@@ -45,7 +47,7 @@ class SchemaMismatch(ValueError):
 
 
 class DocumentError(ValueError):
-    """A document is not an object, or a top-level field is missing or ill-typed."""
+    """A document is not an object, or one of its fields is missing or ill-typed."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +145,59 @@ def certificate_to_json(cert: WitnessCertificate) -> dict[str, Any]:
     }
 
 
+def _result_field(data: dict[str, Any], name: str, kinds: tuple[type, ...]) -> Any:
+    """data[name] (None if absent) if it is one of kinds, else a
+    DocumentError naming the field; no bool passes for an int."""
+    value = data.get(name)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise DocumentError(f"document field 'result.{name}' is missing or not {names}")
+    return value
+
+
+def _integers(values: list[Any], name: str) -> tuple[int, ...]:
+    for i, value in enumerate(values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DocumentError(f"document field 'result.{name}[{i}]' is not an int")
+    return tuple(values)
+
+
+def _decoded(name: str, decode, value: Any) -> Any:
+    """decode(value), with its failure turned into a DocumentError naming
+    the field."""
+    try:
+        return decode(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DocumentError(
+            f"document field 'result.{name}' is malformed: {detail}"
+        ) from None
+
+
 def certificate_from_json(data: dict[str, Any]) -> WitnessCertificate:
-    interval = data.get("interval")
+    """The certificate of a witness document's result.  Every field is
+    checked before use; a missing or ill-typed one raises DocumentError."""
+    null = type(None)
+    interval = _result_field(data, "interval", (list, null))
+    if interval is not None and len(_integers(interval, "interval")) != 2:
+        raise DocumentError("document field 'result.interval' is not a pair")
+    base = _result_field(data, "base", (dict, null))
+    talagrand = _result_field(data, "talagrand", (dict, null))
     return WitnessCertificate(
-        construction=str(data["construction"]),
-        series_name=str(data["series"]),
-        stem=stem_from_json(data["stem"]),
-        checkpoints=checkpoints_from_json(data["checkpoints"]),
-        base=stem_from_json(data["base"]) if data.get("base") else None,
-        interval_index=data.get("interval_index"),
+        construction=_result_field(data, "construction", (str,)),
+        series_name=_result_field(data, "series", (str,)),
+        stem=_decoded("stem", stem_from_json, _result_field(data, "stem", (dict,))),
+        checkpoints=_decoded(
+            "checkpoints", checkpoints_from_json, _result_field(data, "checkpoints", (list,))
+        ),
+        base=_decoded("base", stem_from_json, base) if base else None,
+        interval_index=_result_field(data, "interval_index", (int, null)),
         interval=tuple(interval) if interval else None,
-        talagrand=talagrand_from_json(data.get("talagrand")),
-        stage_boundaries=tuple(data.get("stage_boundaries", ())),
-        details=tuple(sorted(data.get("details", {}).items())),
+        talagrand=_decoded("talagrand", talagrand_from_json, talagrand),
+        stage_boundaries=_integers(
+            _result_field(data, "stage_boundaries", (list, null)) or [], "stage_boundaries"
+        ),
+        details=tuple(sorted((_result_field(data, "details", (dict, null)) or {}).items())),
     )
 
 
@@ -301,17 +343,12 @@ def verify_document(doc: dict[str, Any], rerun_exhaustion: bool = True) -> list[
     if kind == "exhaustion":
         if not rerun_exhaustion:
             return []
-        from .runners import execute_config
-        from .witnesses import ScanExhausted
-
         try:
-            execute_config(dict(doc["config"]))
+            execute_config(resolve_config(doc["config"]))
         except ScanExhausted as exc:
-            if exc.reason != doc["result"]["reason"]:
-                return [
-                    f"exhaustion reason changed: {exc.reason!r} vs "
-                    f"{doc['result']['reason']!r}"
-                ]
+            recorded = doc["result"].get("reason")
+            if exc.reason != recorded:
+                return [f"exhaustion reason changed: {exc.reason!r} vs {recorded!r}"]
             return []
         return ["recorded as exhausted, but the construction now succeeds"]
     return [f"unknown document kind {kind!r}"]

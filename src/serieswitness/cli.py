@@ -26,7 +26,7 @@ from .certificates import (
     write_document,
 )
 from .ideals import DEFAULT_EVIDENCE_THRESHOLD
-from .runners import CONSTRUCTIONS, execute_config, resolve_config
+from .runners import CONSTRUCTIONS, IDEALS, SEQUENCES, execute_config, resolve_config
 from .series import UnknownSeries, catalog_names, catalog_series
 from .witnesses import (
     InconsistentGrowthWitness,
@@ -66,10 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"scan horizon (also settable via ${HORIZON_ENV})",
     )
-    run.add_argument("--ideal", choices=("fin", "density"), default=None)
+    run.add_argument("--ideal", choices=tuple(IDEALS), default=None)
     run.add_argument(
         "--talagrand",
-        choices=("geometric", "linear"),
+        choices=tuple(SEQUENCES),
         default=None,
         help="interval sequence: geometric n_k = 2^k or linear n_k = k",
     )
@@ -124,14 +124,13 @@ def _emit(doc: dict[str, Any], out: str | None, summary: str) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     started = time.perf_counter()
+    config = resolve_config(_config_from_args(args))
     try:
-        config = resolve_config(config)
         kind, payload = execute_config(config)
     except ScanExhausted as exc:
         seconds = time.perf_counter() - started
-        doc = document_for_exhaustion(exc, resolve_safely(config), seconds)
+        doc = document_for_exhaustion(exc, config, seconds)
         _emit(doc, args.out, f"exhausted: {exc}")
         return 2
     seconds = time.perf_counter() - started
@@ -158,13 +157,6 @@ def _run(args: argparse.Namespace) -> int:
     if kind == "verdict" and verdict.status == "undecided":
         return 2
     return 0
-
-
-def resolve_safely(config: dict[str, Any]) -> dict[str, Any]:
-    try:
-        return resolve_config(config)
-    except Exception:  # noqa: BLE001  - echo whatever we had
-        return config
 
 
 def _verify(args: argparse.Namespace) -> int:

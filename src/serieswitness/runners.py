@@ -1,19 +1,19 @@
-"""Construction dispatch: resolve a run configuration into a result.
+"""The construction registry: resolve a run configuration into a result.
 
-The CLI echoes every resolved parameter into the certificate document,
-and exhaustion documents are re-verified by executing the same
-configuration again, so everything here must be deterministic in the
-config alone.
+Each construction is one entry of REGISTRY: the kind of result it makes,
+its declared parameters and its builder.  Resolution, the CLI's choices
+and execution all read that one table.  The CLI echoes every resolved
+parameter into the certificate document, and exhaustion documents are
+re-verified by executing the same configuration again, so everything
+here must be deterministic in the config alone.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .ideals import (
     DEFAULT_EVIDENCE_THRESHOLD,
-    IdealSpec,
-    TalagrandSequence,
     density_ideal,
     fin_ideal,
     geometric_talagrand,
@@ -38,77 +38,102 @@ from .witnesses import (
     rearrangement_pipeline,
 )
 
-CONSTRUCTIONS = (
-    "grow-subseries",
-    "rearrangement",
-    "nowhere-dense-subseq",
-    "nowhere-dense-rearr",
-    "dense-open-bm",
-    "dense-open-cm",
-    "dense-open-am",
-    "limsup-subseries",
-    "i-bounded",
-)
+# The interval sequences and the ideals a configuration may name.
+SEQUENCES = {"geometric": geometric_talagrand, "linear": linear_talagrand}
+IDEALS = {"fin": fin_ideal, "density": density_ideal}
 
 # The candidate stream ends inside the scan horizon before it can seed the
 # open set's base stem: a finite search came up short, so this is exhaustion.
 _TOO_FEW_CANDIDATES = "not enough candidate indices to seed the base stem"
 
 
-def _sequence_from_name(name: str) -> TalagrandSequence:
-    if name == "geometric":
-        return geometric_talagrand()
-    if name == "linear":
-        return linear_talagrand()
-    raise PreconditionViolation(f"unknown interval sequence {name!r}")
+class Param(NamedTuple):
+    """The type of a parameter, the same in every construction: int or float
+    (which admits ints; neither admits bools) with an optional least value,
+    or a table of names.  noun names the parameter in resolution errors."""
+
+    kind: Any
+    minimum: int | None = None
+    noun: str = ""
 
 
-def _ideal_from_name(name: str) -> IdealSpec:
-    if name == "fin":
-        return fin_ideal()
-    if name == "density":
-        return density_ideal()
-    raise PreconditionViolation(f"unknown ideal {name!r}")
+PARAMS = {
+    "horizon": Param(int, 1),
+    "m": Param(int, 0),
+    "depth": Param(int, 0),
+    "threshold": Param(int),
+    "target": Param(float),
+    "M": Param(float, noun="a bound"),
+    "ideal": Param(IDEALS, noun="ideal"),
+    "talagrand": Param(SEQUENCES, noun="interval sequence"),
+}
+
+
+class Construction(NamedTuple):
+    """One registry entry: the result kind ("witness" or "verdict"), the
+    default of each parameter in resolution order (None: required; a
+    callable computes it from the configuration resolved so far) and the
+    builder, called as build(series, resolved config, horizon)."""
+
+    result: str
+    params: dict[str, Any]
+    build: Callable[[SeriesOracle, dict[str, Any], int], Any]
+
+
+def _check(key: str, value: Any) -> None:
+    param = PARAMS[key]
+    if isinstance(param.kind, dict):
+        if not isinstance(value, str) or value not in param.kind:
+            raise PreconditionViolation(f"unknown {param.noun} {value!r}")
+        return
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    if param.kind is int and not integral:
+        raise PreconditionViolation(f"{key} must be an integer, got {value!r}")
+    if param.kind is float and not (integral or isinstance(value, float)):
+        raise PreconditionViolation(f"{key} must be a number, got {value!r}")
+    if param.minimum is not None and value < param.minimum:
+        raise PreconditionViolation(f"{key} must be >= {param.minimum}")
 
 
 def resolve_config(config: dict[str, Any]) -> dict[str, Any]:
-    """Fill defaults so the echoed config replays identically."""
-    series = catalog_series(config["series"])
+    """Fill defaults and check every declared parameter, so the echoed
+    config replays identically."""
+    name = config.get("series")
+    if not isinstance(name, str):
+        raise PreconditionViolation(f"series must be a string, got {name!r}")
+    series = catalog_series(name)
     construction = config.get("construction")
     if construction not in CONSTRUCTIONS:
         raise PreconditionViolation(
             f"unknown construction {construction!r}; known: {', '.join(CONSTRUCTIONS)}"
         )
     out = dict(config)
-    out.setdefault("horizon", default_scan_horizon(series))
-    if construction in ("grow-subseries",):
-        out.setdefault("target", 2.0)
-    if construction in ("rearrangement",):
-        out.setdefault("depth", 3)
-    if construction == "limsup-subseries":
-        out.setdefault("depth", 4)
-    if construction in (
-        "nowhere-dense-subseq",
-        "nowhere-dense-rearr",
-        "dense-open-bm",
-        "dense-open-cm",
-        "dense-open-am",
-    ):
-        out.setdefault("m", 1)
-        if out["m"] < 0:
-            raise PreconditionViolation("m must be >= 0")
-    if construction in ("dense-open-bm", "dense-open-cm", "dense-open-am"):
-        out.setdefault("talagrand", "geometric")
-    if construction == "i-bounded":
-        if out.get("M") is None:
-            raise PreconditionViolation("i-bounded requires a bound (--M)")
-        out.setdefault("ideal", "fin")
-        out.setdefault("threshold", DEFAULT_EVIDENCE_THRESHOLD)
-        if out.get("talagrand") is None:
-            out["talagrand"] = ideal_talagrand(
-                _ideal_from_name(out["ideal"])
-            ).label
+    defaults = {"horizon": default_scan_horizon(series), **REGISTRY[construction].params}
+    for key, default in defaults.items():
+        if out.get(key) is None:
+            if default is None:
+                raise PreconditionViolation(
+                    f"{construction} requires {PARAMS[key].noun} (--{key})"
+                )
+            out[key] = default(out) if callable(default) else default
+        _check(key, out[key])
     return out
+
+
+def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
+    """Run a configuration that resolve_config has resolved.
+
+    Returns ("witness", WitnessCertificate) or
+    ("verdict", (verdict, indexer, ideal, threshold)).  ScanExhausted
+    propagates to the caller, which turns it into an exhaustion document.
+    """
+    entry = REGISTRY[config["construction"]]
+    series = catalog_series(config["series"])
+    return entry.result, entry.build(series, config, config["horizon"])
+
+
+# ---------------------------------------------------------------------------
+# builders
 
 
 def _certified_pipeline(series: SeriesOracle, depth: int, horizon: int, stream=None):
@@ -121,94 +146,96 @@ def _certified_pipeline(series: SeriesOracle, depth: int, horizon: int, stream=N
     return cert.stem, checkpoints
 
 
-def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
-    """Run a resolved configuration.
+def _grow(series, config, horizon):
+    return grow_unbounded_subseries(series, float(config["target"]), horizon)
 
-    Returns ("witness", WitnessCertificate) or
-    ("verdict", (verdict, indexer, ideal, threshold)).  ScanExhausted
-    propagates to the caller, which turns it into an exhaustion document.
-    """
-    config = resolve_config(config)
-    series = catalog_series(config["series"])
-    construction = config["construction"]
-    horizon = int(config["horizon"])
 
-    if construction == "grow-subseries":
-        cert = grow_unbounded_subseries(
-            series, target=float(config["target"]), search_horizon=horizon
-        )
-        return "witness", cert
+def _rearrangement(series, config, horizon):
+    return rearrangement_pipeline(series, config["depth"], horizon)
 
-    if construction == "rearrangement":
-        return "witness", rearrangement_pipeline(
-            series, int(config["depth"]), horizon
-        )
 
-    if construction == "limsup-subseries":
-        return "witness", limsup_subseries(series, int(config["depth"]), horizon)
+def _limsup(series, config, horizon):
+    return limsup_subseries(series, config["depth"], horizon)
 
-    if construction == "nowhere-dense-subseq":
-        m = int(config["m"])
-        stream = provision_candidate_stream(series, horizon)
-        base = SubseqStem.from_values([1])
-        return "witness", nowhere_dense_witness_subseq(
-            series, stream, m, base, horizon
-        )
 
-    if construction == "nowhere-dense-rearr":
-        m = int(config["m"])
-        stem, checkpoints = _certified_pipeline(series, m + 1, horizon)
-        base = RearrStem.from_values([1])
-        return "witness", nowhere_dense_witness_rearr(
-            series, stem, m, base, horizon, checkpoints
-        )
+def _nowhere_dense_subseq(series, config, horizon):
+    stream = provision_candidate_stream(series, horizon)
+    base = SubseqStem.from_values([1])
+    return nowhere_dense_witness_subseq(series, stream, config["m"], base, horizon)
 
-    if construction == "dense-open-bm":
-        m = int(config["m"])
-        seq = _sequence_from_name(config["talagrand"])
-        stream = provision_candidate_stream(series, horizon)
-        if len(stream) < m + 2:
-            raise ScanExhausted("dense-open-Bm", _TOO_FEW_CANDIDATES, horizon)
-        base = stream.prefix(m + 1)
-        return "witness", dense_open_witness_Bm(
-            series, seq, stream, m, base, horizon
-        )
 
-    if construction == "dense-open-cm":
-        m = int(config["m"])
-        seq = _sequence_from_name(config["talagrand"])
-        stream = provision_candidate_stream(series, horizon)
-        r = max(m + 1, 4)
-        if len(stream) < r:
-            raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
-        base = RearrStem.from_values(stream.to_numpy(r))
-        stem, checkpoints = _certified_pipeline(series, m + 1, horizon, stream)
-        return "witness", dense_open_witness_Cm(
-            series, seq, stem, m, base, horizon, checkpoints
-        )
+def _nowhere_dense_rearr(series, config, horizon):
+    m = config["m"]
+    stem, checkpoints = _certified_pipeline(series, m + 1, horizon)
+    base = RearrStem.from_values([1])
+    return nowhere_dense_witness_rearr(series, stem, m, base, horizon, checkpoints)
 
-    if construction == "dense-open-am":
-        m = int(config["m"])
-        seq = _sequence_from_name(config["talagrand"])
-        stream = provision_candidate_stream(series, horizon)
-        return "witness", dense_open_witness_Am(
-            series, seq, stream, m, SelectionStem(), horizon
-        )
 
-    if construction == "i-bounded":
-        ideal = _ideal_from_name(config["ideal"])
-        seq = _sequence_from_name(config["talagrand"])
-        threshold = int(config["threshold"])
-        indexer = SelectionStem.ones(horizon)
-        verdict = i_bounded_verdict(
-            series,
-            indexer,
-            ideal,
-            float(config["M"]),
-            horizon,
-            threshold=threshold,
-            seq=seq,
-        )
-        return "verdict", (verdict, indexer, ideal, threshold)
+def _dense_open_bm(series, config, horizon):
+    m = config["m"]
+    seq = SEQUENCES[config["talagrand"]]()
+    stream = provision_candidate_stream(series, horizon)
+    if len(stream) < m + 2:
+        raise ScanExhausted("dense-open-Bm", _TOO_FEW_CANDIDATES, horizon)
+    base = stream.prefix(m + 1)
+    return dense_open_witness_Bm(series, seq, stream, m, base, horizon)
 
-    raise PreconditionViolation(f"unknown construction {construction!r}")
+
+def _dense_open_cm(series, config, horizon):
+    m = config["m"]
+    seq = SEQUENCES[config["talagrand"]]()
+    stream = provision_candidate_stream(series, horizon)
+    r = max(m + 1, 4)
+    if len(stream) < r:
+        raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
+    base = RearrStem.from_values(stream.to_numpy(r))
+    stem, checkpoints = _certified_pipeline(series, m + 1, horizon, stream)
+    return dense_open_witness_Cm(series, seq, stem, m, base, horizon, checkpoints)
+
+
+def _dense_open_am(series, config, horizon):
+    seq = SEQUENCES[config["talagrand"]]()
+    stream = provision_candidate_stream(series, horizon)
+    return dense_open_witness_Am(
+        series, seq, stream, config["m"], SelectionStem(), horizon
+    )
+
+
+def _i_bounded(series, config, horizon):
+    ideal = IDEALS[config["ideal"]]()
+    seq = SEQUENCES[config["talagrand"]]()
+    threshold = config["threshold"]
+    indexer = SelectionStem.ones(horizon)
+    verdict = i_bounded_verdict(
+        series, indexer, ideal, float(config["M"]), horizon,
+        threshold=threshold, seq=seq,
+    )
+    return verdict, indexer, ideal, threshold
+
+
+def _ideal_sequence(config) -> str:
+    """i-bounded's default interval sequence is the one its ideal names."""
+    return ideal_talagrand(IDEALS[config["ideal"]]()).label
+
+
+_M = {"m": 1}
+_DENSE_OPEN = {"m": 1, "talagrand": "geometric"}
+
+REGISTRY: dict[str, Construction] = {
+    "grow-subseries": Construction("witness", {"target": 2.0}, _grow),
+    "rearrangement": Construction("witness", {"depth": 3}, _rearrangement),
+    "nowhere-dense-subseq": Construction("witness", _M, _nowhere_dense_subseq),
+    "nowhere-dense-rearr": Construction("witness", _M, _nowhere_dense_rearr),
+    "dense-open-bm": Construction("witness", _DENSE_OPEN, _dense_open_bm),
+    "dense-open-cm": Construction("witness", _DENSE_OPEN, _dense_open_cm),
+    "dense-open-am": Construction("witness", _DENSE_OPEN, _dense_open_am),
+    "limsup-subseries": Construction("witness", {"depth": 4}, _limsup),
+    "i-bounded": Construction(
+        "verdict",
+        {"M": None, "ideal": "fin", "threshold": DEFAULT_EVIDENCE_THRESHOLD,
+         "talagrand": _ideal_sequence},
+        _i_bounded,
+    ),
+}
+
+CONSTRUCTIONS = tuple(REGISTRY)

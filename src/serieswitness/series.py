@@ -8,7 +8,6 @@ term rule stays deterministic and cheap to re-evaluate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -81,10 +80,6 @@ class SeriesOracle:
     limsup_norm_infinite: bool
     rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.is_scalar and self.space.exponent != math.inf:
-            raise ValueError("sequence-space series carry the sup norm")
-
     @property
     def is_scalar(self) -> bool:
         return self.space.is_scalar
@@ -129,7 +124,7 @@ _CATALOG: dict[str, SeriesOracle] = {
     ),
     "unit-basis-c0": SeriesOracle(
         name="unit-basis-c0",
-        space=sequence_space(math.inf),
+        space=sequence_space(),
         description=(
             "x_n = e_n under the sup norm; the standard realization of a series "
             "whose subseries and rearrangement partial sums all share one bound"
@@ -140,7 +135,7 @@ _CATALOG: dict[str, SeriesOracle] = {
     ),
     "decaying-signed-c0": SeriesOracle(
         name="decaying-signed-c0",
-        space=sequence_space(math.inf),
+        space=sequence_space(),
         description="x_n = (-1)^n e_ceil(n/2) / ceil(n/2) under the sup norm",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,

@@ -21,9 +21,10 @@ import numpy as np
 
 from .ideals import TalagrandSequence, interval
 from .series import (
-    _BLOCK, SeriesOracle, first_crossing, first_crossings, max_norm, norms_at,
+    _BLOCK, SeriesOracle, catalog_series, first_crossing, first_crossings, max_norm,
+    norms_at,
 )
-from .spaces import DELTA, SpaceSpec
+from .spaces import DELTA
 from .stems import (
     IndexerStem,
     RearrStem,
@@ -39,9 +40,6 @@ __all__ = [
     "PatternTooLarge",
     "Checkpoint",
     "WitnessCertificate",
-    "GrowthOracle",
-    "growth_oracle",
-    "default_growth_oracle",
     "default_scan_horizon",
     "uniform_bound_bruteforce",
     "grow_unbounded_subseries",
@@ -62,13 +60,6 @@ _CHUNK = 1 << 18
 
 DEFAULT_SCALAR_HORIZON = 10**6
 DEFAULT_SEQUENCE_HORIZON = 10**4
-
-GREEDY_POSITIVE = "greedy-positive"
-GREEDY_NEGATIVE = "greedy-negative"
-PER_COORDINATE = "per-coordinate"
-EXHAUSTIVE = "exhaustive"
-
-_STRATEGIES = (GREEDY_POSITIVE, GREEDY_NEGATIVE, PER_COORDINATE, EXHAUSTIVE)
 
 _MAX_INTERVAL_ATTEMPTS = 8
 _MAX_PATTERN_WIDTH = 14
@@ -175,52 +166,8 @@ class WitnessCertificate:
         return sums[-1].value if sums else None
 
 
-@dataclass(frozen=True)
-class GrowthOracle:
-    """Search strategy for index blocks with large partial sums.
-
-    greedy-positive / greedy-negative collect all same-signed terms of a
-    real series; per-coordinate collects the terms feeding one coordinate
-    of a sequence-space series positively; exhaustive enumerates every
-    selection inside a sliding window of `window` indices.
-    """
-
-    strategy: str
-    coordinate: int = 1
-    window: int = 20
-
-    def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown growth strategy {self.strategy!r}")
-        if self.coordinate < 1:
-            raise ValueError("coordinate must be >= 1")
-        if not 1 <= self.window <= 20:
-            raise ValueError("exhaustive window must stay within 20 indices")
-
-
-def growth_oracle(strategy: str, coordinate: int = 1, window: int = 20) -> GrowthOracle:
-    return GrowthOracle(strategy, coordinate, window)
-
-
-def default_growth_oracle(series: SeriesOracle) -> GrowthOracle:
-    if series.is_scalar:
-        return GrowthOracle(GREEDY_POSITIVE)
-    return GrowthOracle(PER_COORDINATE)
-
-
 def default_scan_horizon(series: SeriesOracle) -> int:
     return DEFAULT_SCALAR_HORIZON if series.is_scalar else DEFAULT_SEQUENCE_HORIZON
-
-
-def _check_strategy(series: SeriesOracle, oracle: GrowthOracle) -> None:
-    if oracle.strategy in (GREEDY_POSITIVE, GREEDY_NEGATIVE) and not series.is_scalar:
-        raise PreconditionViolation(
-            f"{oracle.strategy} applies to real-line series only"
-        )
-    if oracle.strategy == PER_COORDINATE and series.is_scalar:
-        raise PreconditionViolation(
-            "per-coordinate applies to sequence-space series only"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +190,6 @@ def _first_index(
         lo = hi + 1
         span = min(span * 8, _CHUNK)
     return None
-
-
-def _row_norms(space: SpaceSpec, sums: np.ndarray) -> np.ndarray:
-    if space.exponent == math.inf or space.is_scalar:
-        return np.abs(sums).max(axis=1)
-    p = space.exponent
-    return (np.abs(sums) ** p).sum(axis=1) ** (1.0 / p)
 
 
 def _canonical_checkpoints(
@@ -341,8 +281,8 @@ def uniform_bound_bruteforce(
         weights = digits.astype(np.float64)
         if alpha[0] == -1:
             weights -= 1.0
-        norms = _row_norms(series.space, weights @ matrix)
-        best = max(best, float(norms.max()))
+        # each row's norm is its sup norm (the absolute value on the real line)
+        best = max(best, float(np.abs(weights @ matrix).max()))
     return best
 
 
@@ -362,27 +302,39 @@ def _threshold_chain(b: float, target: float) -> list[float]:
     return chain
 
 
-def _candidate_chunks(series: SeriesOracle, oracle: GrowthOracle, horizon: int):
-    """(indices, coefficients) of the streaming strategy's candidates in
-    1..horizon, one engine block of indices at a time: the terms feeding
-    its coordinate (every term on the real line) with its sign, positive
-    unless the strategy is greedy-negative."""
+def _candidate_chunks(series: SeriesOracle, horizon: int):
+    """(indices, coefficients) of the growth candidates in 1..horizon, one
+    engine block of indices at a time: the positive terms, on the real line
+    all of them and in sequence space those feeding coordinate 1."""
     for lo in range(1, horizon + 1, _BLOCK):
         idx = np.arange(lo, min(horizon, lo + _BLOCK - 1) + 1, dtype=np.int64)
         coords, coeffs = series.columns(idx)
-        mask = coeffs < 0 if oracle.strategy == GREEDY_NEGATIVE else coeffs > 0
+        mask = coeffs > 0
         if not series.is_scalar:
-            mask &= coords == oracle.coordinate
+            mask &= coords == 1
         if mask.any():
             yield idx[mask], coeffs[mask]
 
 
-def _grow_streaming(
+def grow_unbounded_subseries(
     series: SeriesOracle,
-    oracle: GrowthOracle,
-    target: float,
-    horizon: int,
+    target: float = 1.0,
+    search_horizon: int | None = None,
 ) -> WitnessCertificate:
+    """Strictly increasing stem whose partial-sum norms climb past the
+    target, with a doubling chain of certified thresholds along the way.
+
+    The candidates are the positive terms: all of them on the real line
+    ("greedy-positive"), those on coordinate 1 in sequence space
+    ("per-coordinate").  Starting from the first candidate, with norm b,
+    checkpoints are recorded as the running norm first reaches b, 2b, 4b,
+    ... with the final threshold capped at the target (strict crossing).
+    Exhaustion of the candidates before the target signals that the series
+    may admit one bound for all selections.
+    """
+    if target <= 0:
+        raise PreconditionViolation("target must be positive")
+    horizon = search_horizon or default_scan_horizon(series)
     # Every candidate feeds one coordinate with one sign, so the running
     # norm along them is |running sum| and climbs monotonically.
     collected: list[np.ndarray] = []
@@ -390,7 +342,7 @@ def _grow_streaming(
     running = 0.0
     count = 0
     pending: list[float] | None = None
-    for idx, coeffs in _candidate_chunks(series, oracle, horizon):
+    for idx, coeffs in _candidate_chunks(series, horizon):
         csum = np.cumsum(coeffs)
         values = np.abs(running + csum)
         if pending is None:
@@ -418,15 +370,16 @@ def _grow_streaming(
         if done_at is not None:
             collected.append(idx[: done_at + 1])
             stem = SubseqStem.from_values(np.concatenate(collected))
-            details = (("target", float(target)), ("strategy", oracle.strategy))
-            if oracle.strategy == PER_COORDINATE:
-                details += (("coordinate", oracle.coordinate),)
+            if series.is_scalar:
+                strategy = (("strategy", "greedy-positive"),)
+            else:
+                strategy = (("strategy", "per-coordinate"), ("coordinate", 1))
             return WitnessCertificate(
                 construction="grow-subseries",
                 series_name=series.name,
                 stem=stem,
                 checkpoints=_canonical_checkpoints(series, stem, raw),
-                details=details,
+                details=(("target", float(target)),) + strategy,
             )
         collected.append(idx)
         running = float(running + csum[-1])
@@ -437,165 +390,6 @@ def _grow_streaming(
         horizon,
         best=abs(running),
     )
-
-
-def _window_terms(
-    series: SeriesOracle, acc_coeffs: dict[int, float], lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    window = list(range(lo, hi + 1))
-    terms = [series.term(i) for i in window]
-    coords = sorted(
-        set(acc_coeffs) | {i for t in terms for i in t.support}
-    )
-    col = {c: j for j, c in enumerate(coords)}
-    matrix = np.zeros((len(window), len(coords)), dtype=np.float64)
-    for row, t in enumerate(terms):
-        for index, coeff in t.entries:
-            matrix[row, col[index]] = coeff
-    base_row = np.zeros(len(coords), dtype=np.float64)
-    for index, coeff in acc_coeffs.items():
-        base_row[col[index]] = coeff
-    return matrix, base_row, window
-
-
-def _window_search(
-    series: SeriesOracle,
-    acc_coeffs: dict[int, float],
-    lo: int,
-    hi: int,
-    threshold: float | None,
-    strict: bool,
-) -> tuple[list[int] | None, float]:
-    """First selection (by enumeration order) inside [lo, hi] whose sum,
-    on top of the accumulated vector, passes the threshold.  With no
-    threshold, returns the best selection found.  Also reports the best
-    norm seen."""
-    matrix, base_row, window = _window_terms(series, acc_coeffs, lo, hi)
-    w = len(window)
-    total = 1 << w
-    shifts = np.arange(w, dtype=np.int64)
-    best = -1.0
-    best_subset: list[int] | None = None
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(total, start + chunk), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        norms = _row_norms(series.space, base_row + bits @ matrix)
-        if threshold is not None:
-            ok = norms > threshold + DELTA if strict else norms >= threshold
-            if ok.any():
-                mask = int(masks[int(np.argmax(ok))])
-                subset = [window[j] for j in range(w) if mask >> j & 1]
-                return subset, float(norms.max())
-        top = float(norms.max())
-        if top > best:
-            best = top
-            mask = int(masks[int(np.argmax(norms))])
-            best_subset = [window[j] for j in range(w) if mask >> j & 1]
-    if threshold is not None:
-        return None, best
-    return best_subset, best
-
-
-def _grow_exhaustive(
-    series: SeriesOracle,
-    oracle: GrowthOracle,
-    target: float,
-    horizon: int,
-) -> WitnessCertificate:
-    picks: list[int] = []
-    acc: dict[int, float] = {}
-    raw: list[tuple[int, float, str]] = []
-    best_seen = 0.0
-
-    def absorb(subset: list[int]) -> float:
-        for n in subset:
-            for index, coeff in series.term(n).entries:
-                new = acc.get(index, 0.0) + coeff
-                if new == 0.0:
-                    acc.pop(index, None)
-                else:
-                    acc[index] = new
-        picks.extend(subset)
-        sums = np.array([list(acc.values())]) if acc else np.zeros((1, 1))
-        return float(_row_norms(series.space, sums)[0])
-
-    last = 0
-    lo, hi = 1, min(oracle.window, horizon)
-    subset, _ = _window_search(series, acc, lo, hi, None, False)
-    if not subset:
-        raise ScanExhausted(
-            "grow-subseries", "first window holds no mass", horizon
-        )
-    value = absorb(subset)
-    if value <= DELTA:
-        raise ScanExhausted(
-            "grow-subseries", "no selection with positive norm", horizon
-        )
-    raw.append((len(picks), value, ">="))
-    pending = _threshold_chain(value, target)
-    last = hi
-    while pending:
-        t = pending[0]
-        final = t == pending[-1] and t >= target
-        ok = value > target + DELTA if final else value >= t
-        if ok:
-            raw.append((len(picks), t, ">" if final else ">="))
-            pending.pop(0)
-            continue
-        lo = last + 1
-        hi = min(last + oracle.window, horizon)
-        if lo > hi:
-            raise ScanExhausted(
-                "grow-subseries",
-                f"target {target:g} not reached",
-                horizon,
-                best=max(best_seen, value),
-            )
-        subset, window_best = _window_search(series, acc, lo, hi, t, final)
-        best_seen = max(best_seen, window_best)
-        if subset is None:
-            raise ScanExhausted(
-                "grow-subseries",
-                f"no selection in window [{lo}, {hi}] reaches {t:g}",
-                horizon,
-                best=best_seen,
-            )
-        value = absorb(subset)
-        last = hi
-    stem = SubseqStem.from_values(picks)
-    return WitnessCertificate(
-        construction="grow-subseries",
-        series_name=series.name,
-        stem=stem,
-        checkpoints=_canonical_checkpoints(series, stem, raw),
-        details=(("target", float(target)), ("strategy", EXHAUSTIVE)),
-    )
-
-
-def grow_unbounded_subseries(
-    series: SeriesOracle,
-    oracle: GrowthOracle | None = None,
-    target: float = 1.0,
-    search_horizon: int | None = None,
-) -> WitnessCertificate:
-    """Strictly increasing stem whose partial-sum norms climb past the
-    target, with a doubling chain of certified thresholds along the way.
-
-    Starting from the first block with positive norm b, checkpoints are
-    recorded as the running norm first reaches b, 2b, 4b, ... with the
-    final threshold capped at the target (strict crossing).  Exhaustion
-    of the strategy's candidates before the target signals that the
-    series may admit one bound for all selections.
-    """
-    if target <= 0:
-        raise PreconditionViolation("target must be positive")
-    oracle = oracle or default_growth_oracle(series)
-    _check_strategy(series, oracle)
-    horizon = search_horizon or default_scan_horizon(series)
-    if oracle.strategy == EXHAUSTIVE:
-        return _grow_exhaustive(series, oracle, target, horizon)
-    return _grow_streaming(series, oracle, target, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +680,31 @@ def _interval_start(seq: TalagrandSequence, m: float, above: int) -> int:
     return k
 
 
+def _padding_block(
+    series: SeriesOracle,
+    seq: TalagrandSequence,
+    construction: str,
+    m: float,
+    filled: int,
+    after: int,
+    horizon: int,
+) -> tuple[int, SubseqStem]:
+    """The first interval index k (of _MAX_INTERVAL_ATTEMPTS from the first
+    one past m and filled) whose end a block of terms past index `after`,
+    with norms totalling under 1, can pad a stem of length `filled` to;
+    returns k and the block."""
+    start = _interval_start(seq, m, filled)
+    for k in range(start, start + _MAX_INTERVAL_ATTEMPTS):
+        length = seq.n(k + 1) - 1 - filled
+        try:
+            return k, small_norm_block(series, after, length, 1.0, horizon)
+        except ScanExhausted:
+            continue
+    raise ScanExhausted(
+        construction, "no interval admits a small-norm padding block", horizon
+    )
+
+
 def _interval_certificate(
     series: SeriesOracle,
     stem: IndexerStem,
@@ -943,22 +762,7 @@ def dense_open_witness_Bm(
             best=max_norm(series, candidate),
         )
     after = candidate.value_at(l_r)
-    k = _interval_start(seq, m, l_r)
-    block: SubseqStem | None = None
-    for attempt in range(_MAX_INTERVAL_ATTEMPTS):
-        length = seq.n(k + attempt + 1) - 1 - l_r
-        try:
-            block = small_norm_block(series, after, length, 1.0, horizon)
-        except ScanExhausted:
-            continue
-        k = k + attempt
-        break
-    if block is None:
-        raise ScanExhausted(
-            "dense-open-Bm",
-            "no interval admits a small-norm padding block",
-            horizon,
-        )
+    k, block = _padding_block(series, seq, "dense-open-Bm", m, l_r, after, horizon)
     stem = candidate.prefix(l_r).concat_runs(block.runs)
     checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
     return WitnessCertificate(
@@ -1022,22 +826,7 @@ def dense_open_witness_Cm(
         run.max_value for run in candidate.slice_runs(r + 1, pos_mr)
     )
     after = max(z, m_r, tail_values_max)
-    k = _interval_start(seq, m, pos_mr)
-    block: SubseqStem | None = None
-    for attempt in range(_MAX_INTERVAL_ATTEMPTS):
-        length = seq.n(k + attempt + 1) - 1 - pos_mr
-        try:
-            block = small_norm_block(series, after, length, 1.0, horizon)
-        except ScanExhausted:
-            continue
-        k = k + attempt
-        break
-    if block is None:
-        raise ScanExhausted(
-            "dense-open-Cm",
-            "no interval admits a small-norm padding block",
-            horizon,
-        )
+    k, block = _padding_block(series, seq, "dense-open-Cm", m, pos_mr, after, horizon)
     stem = candidate.prefix(pos_mr).concat_runs(block.runs)
     checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
     return WitnessCertificate(
@@ -1202,19 +991,13 @@ def limsup_subseries(
 
 
 def provision_candidate_stream(
-    series: SeriesOracle,
-    horizon: int | None = None,
-    oracle: GrowthOracle | None = None,
+    series: SeriesOracle, horizon: int | None = None
 ) -> SubseqStem:
-    """All candidate indices of a streaming growth strategy up to the
-    horizon, as an increasing stem.  This is the raw material handed to
-    the constructions that consume an unbounded subseries."""
-    oracle = oracle or default_growth_oracle(series)
-    _check_strategy(series, oracle)
+    """All growth candidates up to the horizon (see grow_unbounded_subseries),
+    as an increasing stem.  This is the raw material handed to the
+    constructions that consume an unbounded subseries."""
     horizon = horizon or default_scan_horizon(series)
-    if oracle.strategy == EXHAUSTIVE:
-        raise PreconditionViolation("the exhaustive strategy provides no index stream")
-    parts = [idx for idx, _ in _candidate_chunks(series, oracle, horizon)]
+    parts = [idx for idx, _ in _candidate_chunks(series, horizon)]
     return SubseqStem.from_values(np.concatenate(parts)) if parts else SubseqStem(())
 
 
@@ -1222,7 +1005,6 @@ def rearrangement_pipeline(
     series: SeriesOracle,
     depth: int,
     scan_horizon: int | None = None,
-    oracle: GrowthOracle | None = None,
     *,
     stream: SubseqStem | None = None,
 ) -> WitnessCertificate:
@@ -1231,7 +1013,7 @@ def rearrangement_pipeline(
     construction on it."""
     horizon = scan_horizon or default_scan_horizon(series)
     if stream is None:
-        stream = provision_candidate_stream(series, horizon, oracle)
+        stream = provision_candidate_stream(series, horizon)
     if depth == 0:
         return subseries_to_rearrangement(series, stream, (), 0, horizon)
     checkpoints = derive_depth_checkpoints(series, stream, depth, horizon)
@@ -1247,8 +1029,6 @@ def verify_certificate(
 ) -> list[str]:
     """Recompute every checkpoint and structural claim; returns the list
     of discrepancies (empty means the certificate is sound)."""
-    from .series import catalog_series
-
     issues: list[str] = []
     if series is None:
         series = catalog_series(cert.series_name)

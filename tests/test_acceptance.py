@@ -25,7 +25,6 @@ from serieswitness import (
     density_ideal,
     geometric_talagrand,
     grow_unbounded_subseries,
-    growth_oracle,
     i_bounded_verdict,
     interval,
     limsup_subseries,
@@ -119,9 +118,7 @@ def test_criterion_3_selection_and_rearrangement_sups_agree(alt):
 
 def test_criterion_4_rearrangement_witness_chain(alt, tmp_path):
     started = time.perf_counter()
-    grown = grow_unbounded_subseries(
-        alt, growth_oracle("greedy-positive"), target=3.0, search_horizon=10**6
-    )
+    grown = grow_unbounded_subseries(alt, target=3.0, search_horizon=10**6)
     # independent oracle: direct summation of the positive terms
     total, K = 0.0, 0
     while total <= 3.0:
@@ -258,15 +255,7 @@ def test_criterion_7_negative_controls_on_unit_basis(unit, tmp_path):
 
     expect_exhaustion(
         "grow/per-coordinate",
-        lambda: grow_unbounded_subseries(
-            unit, growth_oracle("per-coordinate"), 2.0, horizon
-        ),
-    )
-    expect_exhaustion(
-        "grow/exhaustive",
-        lambda: grow_unbounded_subseries(
-            unit, growth_oracle("exhaustive"), 2.0, horizon
-        ),
+        lambda: grow_unbounded_subseries(unit, 2.0, horizon),
     )
     expect_exhaustion(
         "rearrangement", lambda: rearrangement_pipeline(unit, 2, horizon)

@@ -149,6 +149,30 @@ def _drop(name):
     return edit
 
 
+def _set_result(name, value):
+    def edit(doc):
+        doc["result"][name] = value
+        return doc
+    return edit
+
+
+def _drop_result(name):
+    def edit(doc):
+        del doc["result"][name]
+        return doc
+    return edit
+
+
+def _replay(**config):
+    """The document as an exhaustion report, whose verification replays config."""
+    def edit(doc):
+        return {**doc, "kind": "exhaustion", "config": config}
+    return edit
+
+
+_AM = {"series": "unit-basis-c0", "construction": "dense-open-am"}
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -157,6 +181,19 @@ def _drop(name):
         (_drop("kind"), "document field 'kind' is missing"),
         (_drop("config"), "document field 'config' is missing"),
         (lambda doc: {**doc, "result": [1]}, "document field 'result' is missing or not"),
+        (_set_result("stage_boundaries", [None]), "'result.stage_boundaries[0]'"),
+        (_set_result("stage_boundaries", ["x"]), "'result.stage_boundaries[0]'"),
+        (_set_result("stage_boundaries", [[1]]), "'result.stage_boundaries[0]'"),
+        (_set_result("stage_boundaries", [True]), "'result.stage_boundaries[0]'"),
+        (_drop_result("construction"), "'result.construction' is missing"),
+        (_drop_result("series"), "'result.series' is missing"),
+        (_drop_result("stem"), "'result.stem' is missing"),
+        (_set_result("checkpoints", None), "'result.checkpoints' is missing or not"),
+        (_set_result("details", [1, 2]), "'result.details' is missing or not"),
+        (_replay(construction="dense-open-am", m=1), "series must be a string, got None"),
+        (_replay(**_AM, m="1"), "m must be an integer, got '1'"),
+        (_replay(**_AM, horizon=True), "horizon must be an integer, got True"),
+        (_replay(**_AM, horizon=0), "horizon must be >= 1"),
     ],
 )
 def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):
@@ -194,6 +231,26 @@ def test_env_horizon_override(tmp_path):
     doc = load_document(str(out))
     assert doc["config"]["horizon"] == 750
     assert doc["result"]["horizon"] == 750
+
+
+@pytest.mark.parametrize(
+    "flags, env, named",
+    [
+        (["--construction", "grow-subseries", "--horizon", "0"], None, "horizon must be >= 1"),
+        (["--construction", "grow-subseries", "--horizon", "-5"], None, "horizon must be >= 1"),
+        (["--construction", "i-bounded", "--M", "0.5", "--horizon", "0"], None,
+         "horizon must be >= 1"),
+        (["--construction", "grow-subseries"], {"SERIESWITNESS_HORIZON": "0"},
+         "horizon must be >= 1"),
+        (["--construction", "dense-open-am", "--m", "-1"], None, "m must be >= 0"),
+    ],
+)
+def test_run_refuses_bad_parameters(tmp_path, capsys, flags, env, named):
+    out = tmp_path / "doc.json"
+    argv = ["run", "--series", "alt-harmonic", *flags, "--out", str(out)]
+    assert run_cli(argv, env_extra=env) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_byte_identical_outputs_modulo_timing(tmp_path):

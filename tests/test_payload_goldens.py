@@ -3,8 +3,8 @@
 Each cell runs at a small horizon and writes a document; the test compares
 the sha256 of `payload_without_timing` with the recorded value, so any
 change to a certificate, verdict or exhaustion payload shows up here.
-Exhaustion cells are pinned too.  The cells that exit 1 write no document
-and are not listed.  Each document is written and loaded once more, and the
+Every cell writes a document, exhaustion cells (exit 2) included, and every
+cell is listed.  Each document is written and loaded once more, and the
 second copy must hash the same.
 
 To re-pin after an intended payload change (which also bumps
@@ -14,11 +14,15 @@ To re-pin after an intended payload change (which also bumps
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from serieswitness.certificates import load_document, payload_without_timing, write_document
 from serieswitness.cli import main
+from serieswitness.runners import CONSTRUCTIONS
+from serieswitness.series import catalog_names
 
 SCALAR_HORIZON = "20000"
 SEQUENCE_HORIZON = "2000"
@@ -50,6 +54,8 @@ GOLDENS = {
     ('unit-basis-c0', 'rearrangement'): (2, '913b97aa639b994679652476a8925da671087c15349744f117e6f7eb7cf6b89f'),
     ('unit-basis-c0', 'nowhere-dense-subseq'): (2, '95019c17f70fffd61cd3f80a84a95a905b9775a86a9f11914f6abfa68bf27e4e'),
     ('unit-basis-c0', 'nowhere-dense-rearr'): (2, '0f5fbfeb121b2e9ee26d2227f73bf24d90a9fd02d7f12bd2bf742b3dc2e42d7a'),
+    ('unit-basis-c0', 'dense-open-bm'): (2, '995965ecdd2fd9f24cf161a3a4253c8c3b53dc8842fdd4453a11665dc306855e'),
+    ('unit-basis-c0', 'dense-open-cm'): (2, '4fab5ab7f1f35b673fd529817a011b218fc7377a94dc467897f859a8d53c62ad'),
     ('unit-basis-c0', 'dense-open-am'): (2, 'ff333468e8eeb6df96b510e1f60d208008bf9a328f073e520ab87cbd3d4b1ffe'),
     ('unit-basis-c0', 'limsup-subseries'): (2, '87428fb70dde834b2a95c4d10a4e7f5ba8873aae98690c79dcaa6088dde9d9f4'),
     ('unit-basis-c0', 'i-bounded'): (0, '418ae84f5f88c0db011e257fd54b385453520884f8c8f87479b9afc54b71d1ee'),
@@ -57,6 +63,8 @@ GOLDENS = {
     ('decaying-signed-c0', 'rearrangement'): (2, '2f136806923c8c90186249c893fd21149481fa20991c979937ff28502ffa0d41'),
     ('decaying-signed-c0', 'nowhere-dense-subseq'): (2, '852030f1227bd8d4ce9872c7aeed337ead8926b3835d0ee0d98511e382c23983'),
     ('decaying-signed-c0', 'nowhere-dense-rearr'): (2, '78762fab21f49d8fef9afd821455f47c2d4b5bd6d9d5bdc18bc555cb30a8d168'),
+    ('decaying-signed-c0', 'dense-open-bm'): (2, '728f89e9793ca64f99a184dbbf5b32ba3646662c6e7e1b2fa9171953be42b383'),
+    ('decaying-signed-c0', 'dense-open-cm'): (2, 'ef0d323743adafa0f69c8c384a6478796aa99f330c7f87f848bef05ff84acf47'),
     ('decaying-signed-c0', 'dense-open-am'): (2, 'cfbc41bfc2d076bb60e99107f5a47c460e36fc680c70ed8f5aa45dd3d9ab7a8f'),
     ('decaying-signed-c0', 'limsup-subseries'): (2, '8e55c69d111cd846f3b916c0912e7abd076597ec698f6f8c8a321f7a49235a59'),
     ('decaying-signed-c0', 'i-bounded'): (2, '0da71fe85bae5905529f2b4bba2222c65cb10fe1c6e6f6a132307425e8916232'),
@@ -91,11 +99,19 @@ def test_payload_is_pinned(tmp_path, cell):
     assert digest_of(tmp_path / "again.json") == GOLDENS[cell][1]
 
 
+def test_matrix_is_complete():
+    assert set(GOLDENS) == {(s, c) for s in catalog_names() for c in CONSTRUCTIONS}
+    assert set(FLAGS) == set(CONSTRUCTIONS)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    assert tuple(jobs.SEQUENCE_CONSTRUCTIONS) == tuple(CONSTRUCTIONS)
+
+
 if __name__ == "__main__":
     import os
     import tempfile
-
-    from serieswitness.series import catalog_names
 
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "doc.json")

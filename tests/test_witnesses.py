@@ -18,7 +18,6 @@ from serieswitness import (
     derive_depth_checkpoints,
     geometric_talagrand,
     grow_unbounded_subseries,
-    growth_oracle,
     limsup_subseries,
     nowhere_dense_witness_rearr,
     nowhere_dense_witness_subseq,
@@ -137,33 +136,13 @@ def test_grow_growing_real(growing):
     assert cert.final_norm() == 12.0
 
 
-def test_grow_greedy_negative(alt):
-    cert = grow_unbounded_subseries(
-        alt, growth_oracle("greedy-negative"), target=2.0, search_horizon=10**5
-    )
-    values = list(cert.stem.values())
-    assert all(v % 2 == 1 for v in values)
-    assert cert.final_norm() > 2.0
-    assert verify_certificate(cert) == []
-
-
 def test_grow_unit_basis_exhausts(unit):
     with pytest.raises(ScanExhausted) as info:
-        grow_unbounded_subseries(
-            unit, growth_oracle("exhaustive"), target=2.0, search_horizon=10**4
-        )
+        grow_unbounded_subseries(unit, target=2.0, search_horizon=10**4)
     assert info.value.best == pytest.approx(1.0)
-    with pytest.raises(ScanExhausted):
-        grow_unbounded_subseries(
-            unit, growth_oracle("per-coordinate"), target=2.0, search_horizon=10**4
-        )
 
 
 def test_grow_strategy_applicability(alt, unit):
-    with pytest.raises(PreconditionViolation):
-        grow_unbounded_subseries(unit, growth_oracle("greedy-positive"), 2.0)
-    with pytest.raises(PreconditionViolation):
-        grow_unbounded_subseries(alt, growth_oracle("per-coordinate"), 2.0)
     with pytest.raises(PreconditionViolation):
         grow_unbounded_subseries(alt, target=0.0)
 
