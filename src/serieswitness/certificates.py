@@ -303,24 +303,37 @@ def _check_schema(doc: dict[str, Any]) -> None:
 
 
 def _verify_verdict(doc: dict[str, Any]) -> list[str]:
+    """Recompute a verdict document.  Every result field is checked before
+    use, as in certificate_from_json; a missing or ill-typed one raises
+    DocumentError."""
     result = doc["result"]
-    series = catalog_series(result["series"])
-    indexer = stem_from_json(result["indexer"])
-    seq = talagrand_from_json(result["talagrand"])
-    horizon = int(result["horizon"])
+    null = type(None)
+    series = catalog_series(_result_field(result, "series", (str,)))
+    indexer = _decoded("indexer", stem_from_json, _result_field(result, "indexer", (dict,)))
+    _result_field(result, "ideal", (str,))
+    seq = _decoded(
+        "talagrand", talagrand_from_json, _result_field(result, "talagrand", (dict, null))
+    )
+    horizon = _result_field(result, "horizon", (int,))
+    bound = float(_result_field(result, "bound", (int, float)))
+    threshold = _result_field(result, "threshold", (int,))
+    recorded_status = _result_field(result, "status", (str,))
+    interval_count = _result_field(result, "interval_count", (int,))
+    contained = _result_field(result, "contained_intervals", (list,))
+    exceed_runs = _result_field(result, "exceed_runs", (list,))
     trace = partial_sums(series, indexer, horizon)
-    report = exceedance_report(trace, float(result["bound"]), seq)
+    report = exceedance_report(trace, bound, seq)
     issues: list[str] = []
-    if _exceed_runs(report.exceed_set) != result["exceed_runs"]:
+    if _exceed_runs(report.exceed_set) != exceed_runs:
         issues.append("exceedance set does not recompute")
-    if list(report.contained_intervals) != result["contained_intervals"]:
+    if list(report.contained_intervals) != contained:
         issues.append(
             f"contained intervals recompute to {list(report.contained_intervals)}"
         )
-    status = verdict_status(report, int(result["threshold"]))
-    if status != result["status"]:
+    status = verdict_status(report, threshold)
+    if status != recorded_status:
         issues.append(f"verdict status recomputes to {status!r}")
-    if report.interval_count != result["interval_count"]:
+    if report.interval_count != interval_count:
         issues.append(f"interval count recomputes to {report.interval_count}")
     return issues
 

@@ -9,7 +9,7 @@ term rule stays deterministic and cheap to re-evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
     "partial_sums",
     "prefix_norms",
     "norms_at",
+    "Scan",
+    "crossing_scan",
     "first_crossing",
     "first_crossings",
     "max_norm",
@@ -383,6 +385,50 @@ def norms_at(
     return out[inverse]
 
 
+class Scan(NamedTuple):
+    """What one crossing scan found: the crossing positions, as in
+    first_crossings, and the peak, the largest norm from peak_from to the
+    last position read (0.0 if none; always 0.0 without a peak_from)."""
+
+    positions: list[int]
+    peak: float
+
+
+def crossing_scan(
+    series: SeriesOracle, indexer: IndexerStem, thresholds: Sequence[float], *,
+    strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
+    peak_from: int | None = None,
+) -> Scan:
+    """The crossing scan that first_crossings, first_crossing and max_norm
+    share.  It stops at the last crossing it needs, so a search that comes
+    up short has read all of [start_pos, end_pos] and its peak is the
+    maximum over [peak_from, end_pos]: a failed search reports its best
+    norm without a second scan.  With no thresholds the whole range is
+    read."""
+    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
+    lo = start_pos if peak_from is None else min(start_pos, peak_from)
+    found: list[int] = []
+    peak = None
+    for first, norms in _norms_between(series, indexer, lo, end_pos):
+        at = max(start_pos - first, 0)
+        while len(found) < len(thresholds):
+            t = thresholds[len(found)]
+            hits = norms[at:] > t + DELTA if strict else norms[at:] >= t
+            if not hits.any():
+                break
+            at += int(np.argmax(hits)) + 1
+            found.append(first + at - 1)
+        done = bool(thresholds) and len(found) == len(thresholds)
+        if peak_from is not None:
+            seen = norms[max(peak_from - first, 0): at if done else None]
+            if seen.size:
+                high = float(seen.max())
+                peak = high if peak is None else max(peak, high)
+        if done:
+            break
+    return Scan(found, 0.0 if peak is None else peak)
+
+
 def first_crossings(
     series: SeriesOracle, indexer: IndexerStem, thresholds: Sequence[float], *,
     strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
@@ -391,20 +437,11 @@ def first_crossings(
     passes thresholds[0] (> t + DELTA if strict, else >= t), then the first
     one after it passing thresholds[1], and so on; the list ends at the
     first threshold not passed."""
-    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
-    found: list[int] = []
-    for first, norms in _norms_between(series, indexer, start_pos, end_pos):
-        at = 0
-        while len(found) < len(thresholds):
-            t = thresholds[len(found)]
-            hits = norms[at:] > t + DELTA if strict else norms[at:] >= t
-            if not hits.any():
-                break
-            at += int(np.argmax(hits)) + 1
-            found.append(first + at - 1)
-        if len(found) == len(thresholds):
-            break
-    return found
+    if not thresholds:
+        return []
+    return crossing_scan(
+        series, indexer, thresholds, strict=strict, start_pos=start_pos, end_pos=end_pos
+    ).positions
 
 
 def first_crossing(
@@ -426,9 +463,9 @@ def max_norm(
     end_pos: int | None = None,
 ) -> float:
     """Largest partial-sum norm over positions start_pos..end_pos, 0.0 if none."""
-    end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
-    chunks = _norms_between(series, indexer, start_pos, end_pos)
-    return max((float(norms.max()) for _, norms in chunks), default=0.0)
+    return crossing_scan(
+        series, indexer, (), start_pos=start_pos, end_pos=end_pos, peak_from=start_pos
+    ).peak
 
 
 def prefix_norms(

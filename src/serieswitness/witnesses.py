@@ -21,8 +21,7 @@ import numpy as np
 
 from .ideals import TalagrandSequence, interval
 from .series import (
-    _BLOCK, SeriesOracle, catalog_series, first_crossing, first_crossings, max_norm,
-    norms_at,
+    _BLOCK, SeriesOracle, catalog_series, crossing_scan, first_crossings, norms_at,
 )
 from .spaces import DELTA
 from .stems import (
@@ -170,6 +169,16 @@ def default_scan_horizon(series: SeriesOracle) -> int:
     return DEFAULT_SCALAR_HORIZON if series.is_scalar else DEFAULT_SEQUENCE_HORIZON
 
 
+def _horizon(series: SeriesOracle, horizon: int | None) -> int:
+    """The horizon a constructor searches: the series' default for None;
+    one below 1 would search nothing and is refused."""
+    if horizon is None:
+        return default_scan_horizon(series)
+    if horizon < 1:
+        raise PreconditionViolation(f"horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 # ---------------------------------------------------------------------------
 # shared scanning helpers
 
@@ -252,7 +261,11 @@ def uniform_bound_bruteforce(
     """Max of || sum t(i) x_i || over every word t in alphabet^n.
 
     The alphabet is {0,1} (selections) or {-1,0,1} (sign patterns); n is
-    capped at 14 to keep the sweep exact and finite.
+    capped at 14 to keep the sweep exact and finite.  The norm is a sup
+    over coordinates, and a coordinate of the sum depends only on the
+    letters of the terms that touch it, so the sup over words is the
+    largest, over coordinates, of the sup over the words of that
+    coordinate's terms alone.
     """
     alpha = tuple(sorted(set(int(a) for a in alphabet)))
     if alpha not in ((0, 1), (-1, 0, 1)):
@@ -263,26 +276,25 @@ def uniform_bound_bruteforce(
         raise PatternTooLarge(
             f"word length {n} exceeds the enumeration bound {_MAX_PATTERN_WIDTH}"
         )
-    terms = [series.term(i) for i in range(1, n + 1)]
-    coords = sorted({i for t in terms for i in t.support})
-    col = {c: j for j, c in enumerate(coords)}
-    matrix = np.zeros((n, len(coords)), dtype=np.float64)
-    for row, t in enumerate(terms):
-        for index, coeff in t.entries:
-            matrix[row, col[index]] = coeff
+    columns: dict[int, list[float]] = {}
+    for i in range(1, n + 1):
+        for index, coeff in series.term(i).entries:
+            columns.setdefault(index, []).append(coeff)
     base = len(alpha)
-    total = base**n
-    powers = base ** np.arange(n, dtype=np.int64)
     best = 0.0
     chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
-        digits = (ids[:, None] // powers[None, :]) % base
-        weights = digits.astype(np.float64)
-        if alpha[0] == -1:
-            weights -= 1.0
-        # each row's norm is its sup norm (the absolute value on the real line)
-        best = max(best, float(np.abs(weights @ matrix).max()))
+    for coeffs in columns.values():
+        column = np.array(coeffs, dtype=np.float64)[:, None]
+        k = column.shape[0]
+        total = base**k
+        powers = base ** np.arange(k, dtype=np.int64)
+        for lo in range(0, total, chunk):
+            ids = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
+            digits = (ids[:, None] // powers[None, :]) % base
+            weights = digits.astype(np.float64)
+            if alpha[0] == -1:
+                weights -= 1.0
+            best = max(best, float(np.abs(weights @ column).max()))
     return best
 
 
@@ -303,17 +315,17 @@ def _threshold_chain(b: float, target: float) -> list[float]:
 
 
 def _candidate_chunks(series: SeriesOracle, horizon: int):
-    """(indices, coefficients) of the growth candidates in 1..horizon, one
-    engine block of indices at a time: the positive terms, on the real line
-    all of them and in sequence space those feeding coordinate 1."""
+    """(first index, coefficients, candidate mask) of 1..horizon, one engine
+    block of indices at a time.  The candidates are the positive terms: on
+    the real line all of them, in sequence space those feeding coordinate 1;
+    the candidate indices of a block are np.flatnonzero(mask) + first."""
     for lo in range(1, horizon + 1, _BLOCK):
         idx = np.arange(lo, min(horizon, lo + _BLOCK - 1) + 1, dtype=np.int64)
         coords, coeffs = series.columns(idx)
         mask = coeffs > 0
         if not series.is_scalar:
             mask &= coords == 1
-        if mask.any():
-            yield idx[mask], coeffs[mask]
+        yield lo, coeffs, mask
 
 
 def grow_unbounded_subseries(
@@ -334,7 +346,7 @@ def grow_unbounded_subseries(
     """
     if target <= 0:
         raise PreconditionViolation("target must be positive")
-    horizon = search_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, search_horizon)
     # Every candidate feeds one coordinate with one sign, so the running
     # norm along them is |running sum| and climbs monotonically.
     collected: list[np.ndarray] = []
@@ -342,8 +354,11 @@ def grow_unbounded_subseries(
     running = 0.0
     count = 0
     pending: list[float] | None = None
-    for idx, coeffs in _candidate_chunks(series, horizon):
-        csum = np.cumsum(coeffs)
+    for lo, coeffs, mask in _candidate_chunks(series, horizon):
+        if not mask.any():
+            continue
+        idx = np.flatnonzero(mask) + lo
+        csum = np.cumsum(coeffs[mask])
         values = np.abs(running + csum)
         if pending is None:
             b = float(values[0])
@@ -404,7 +419,7 @@ def derive_depth_checkpoints(
 ) -> tuple[tuple[int, float], ...]:
     """First positions where the stem's partial-sum norms reach 1..depth,
     found in one scan; each level's search starts after the last one's."""
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     limit = min(len(stem), horizon)
     levels = [float(level) for level in range(1, depth + 1)]
     positions = first_crossings(series, stem, levels, end_pos=limit)
@@ -435,7 +450,7 @@ def subseries_to_rearrangement(
     """
     if depth < 0:
         raise PreconditionViolation("depth must be >= 0")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     if depth == 0:
         return WitnessCertificate(
             construction="rearrangement",
@@ -469,16 +484,17 @@ def subseries_to_rearrangement(
                 scan_end,
             )
         candidate = q.concat_runs(stem.slice_runs(tail_start, scan_end))
-        position = first_crossing(
-            series, candidate, float(level), strict=False, start_pos=k_prev + 1
+        scan = crossing_scan(
+            series, candidate, [float(level)], start_pos=k_prev + 1, peak_from=1
         )
-        if position is None:
+        if not scan.positions:
             raise ScanExhausted(
                 "rearrangement",
                 f"stage {level} never crossed {level}",
                 scan_end,
-                best=max_norm(series, candidate),
+                best=scan.peak,
             )
+        position = scan.positions[0]
         raw.append((position, float(level), ">="))
         q = extend_to_prefix_bijection(candidate.prefix(position))
         boundaries.append(len(q))
@@ -511,7 +527,7 @@ def nowhere_dense_witness_subseq(
     the base stem's last entry, so the result is again increasing."""
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     _validate_prior_checkpoints(
         series, s_prime, s_prime_checkpoints, "unboundedness witness"
     )
@@ -526,14 +542,15 @@ def nowhere_dense_witness_subseq(
         )
     scan_end = min(len(s_prime), tail_start + horizon - 1)
     candidate = base.concat_runs(s_prime.slice_runs(tail_start, scan_end))
-    position = first_crossing(series, candidate, float(m), strict=True)
-    if position is None:
+    scan = crossing_scan(series, candidate, [float(m)], strict=True, peak_from=1)
+    if not scan.positions:
         raise ScanExhausted(
             "nowhere-dense-subseq",
             f"no partial sum above {m:g}",
             scan_end,
-            best=max_norm(series, candidate),
+            best=scan.peak,
         )
+    position = scan.positions[0]
     keep = max(position, k + 1)
     witness = candidate.prefix(keep)
     return WitnessCertificate(
@@ -564,7 +581,7 @@ def nowhere_dense_witness_rearr(
     injective."""
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     _validate_prior_checkpoints(
         series, p_prime, p_prime_checkpoints, "unboundedness witness"
     )
@@ -582,14 +599,15 @@ def nowhere_dense_witness_rearr(
         )
     scan_end = min(len(p_prime), tail_start + horizon - 1)
     candidate = base.concat_runs(p_prime.slice_runs(tail_start, scan_end))
-    position = first_crossing(series, candidate, float(m), strict=True)
-    if position is None:
+    scan = crossing_scan(series, candidate, [float(m)], strict=True, peak_from=1)
+    if not scan.positions:
         raise ScanExhausted(
             "nowhere-dense-rearr",
             f"no partial sum above {m:g}",
             scan_end,
-            best=max_norm(series, candidate),
+            best=scan.peak,
         )
+    position = scan.positions[0]
     keep = max(position, len(base) + 1)
     witness = extend_to_prefix_bijection(candidate.prefix(keep))
     return WitnessCertificate(
@@ -627,7 +645,7 @@ def small_norm_block(
         raise PreconditionViolation("block length must be >= 1")
     if budget <= 0:
         raise PreconditionViolation("budget must be positive")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
 
     picks: list[np.ndarray] = []
     taken = 0
@@ -741,7 +759,7 @@ def dense_open_witness_Bm(
         raise PreconditionViolation(
             f"base stem length {r} must exceed m = {m}"
         )
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     _validate_prior_checkpoints(series, u, u_checkpoints, "unboundedness witness")
     if len(u) <= r:
         raise PreconditionViolation("u must continue past the base stem's length")
@@ -751,16 +769,17 @@ def dense_open_witness_Bm(
         )
     scan_end = min(len(u), horizon)
     candidate = base.concat_runs(u.slice_runs(r + 1, scan_end))
-    l_r = first_crossing(
-        series, candidate, float(m + 1), strict=True, start_pos=r + 1
+    scan = crossing_scan(
+        series, candidate, [float(m + 1)], strict=True, start_pos=r + 1, peak_from=1
     )
-    if l_r is None:
+    if not scan.positions:
         raise ScanExhausted(
             "dense-open-Bm",
             f"no partial sum above {m + 1}",
             scan_end,
-            best=max_norm(series, candidate),
+            best=scan.peak,
         )
+    l_r = scan.positions[0]
     after = candidate.value_at(l_r)
     k, block = _padding_block(series, seq, "dense-open-Bm", m, l_r, after, horizon)
     stem = candidate.prefix(l_r).concat_runs(block.runs)
@@ -796,7 +815,7 @@ def dense_open_witness_Cm(
     r = len(base)
     if r <= m:
         raise PreconditionViolation(f"base stem length {r} must exceed m = {m}")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     _validate_prior_checkpoints(series, t, t_checkpoints, "unboundedness witness")
     z = max(r, base.max_value)
     cover = t.cover_position(base.to_numpy())
@@ -811,16 +830,17 @@ def dense_open_witness_Cm(
         )
     scan_end = min(len(t), horizon)
     candidate = base.concat_runs(t.slice_runs(tail_start, scan_end))
-    pos_mr = first_crossing(
-        series, candidate, float(m + 1), strict=True, start_pos=r + 1
+    scan = crossing_scan(
+        series, candidate, [float(m + 1)], strict=True, start_pos=r + 1, peak_from=1
     )
-    if pos_mr is None:
+    if not scan.positions:
         raise ScanExhausted(
             "dense-open-Cm",
             f"no partial sum above {m + 1}",
             scan_end,
-            best=max_norm(series, candidate),
+            best=scan.peak,
         )
+    pos_mr = scan.positions[0]
     m_r = tail_start + (pos_mr - r) - 1
     tail_values_max = max(
         run.max_value for run in candidate.slice_runs(r + 1, pos_mr)
@@ -863,7 +883,7 @@ def dense_open_witness_Am(
     through the end of an interval [n_k, n_{k+1})."""
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     _validate_prior_checkpoints(series, u, u_checkpoints, "unboundedness witness")
     # 0-padding freezes the running sum, so only the value after the whole
     # base word matters; interior crossings cannot be kept without
@@ -878,7 +898,10 @@ def dense_open_witness_Am(
         tail = u.slice_runs(tail_start, tail_end)
     picks = ones.concat_runs(tail)
     first = max(len(ones), 1)
-    position = first_crossing(series, picks, float(m), strict=True, start_pos=first)
+    scan = crossing_scan(
+        series, picks, [float(m)], strict=True, start_pos=first, peak_from=first
+    )
+    position = scan.positions[0] if scan.positions else None
     if position is not None and position <= len(ones):
         cross_pos = len(base)
     elif tail_start is None:
@@ -888,7 +911,7 @@ def dense_open_witness_Am(
             "dense-open-Am",
             f"no selection partial sum above {m:g}",
             horizon,
-            best=max_norm(series, picks, start_pos=first),
+            best=scan.peak,
         )
     else:
         cross_pos = picks.value_at(position)
@@ -938,7 +961,7 @@ def limsup_subseries(
             checkpoints=(),
             details=(("depth", 0),),
         )
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     picks = [1]
     term_norm = float(series.term_norms(np.array([1]))[0])
     sum_norms = norms_at(series, SubseqStem.from_values(picks), [1])
@@ -996,8 +1019,8 @@ def provision_candidate_stream(
     """All growth candidates up to the horizon (see grow_unbounded_subseries),
     as an increasing stem.  This is the raw material handed to the
     constructions that consume an unbounded subseries."""
-    horizon = horizon or default_scan_horizon(series)
-    parts = [idx for idx, _ in _candidate_chunks(series, horizon)]
+    horizon = _horizon(series, horizon)
+    parts = [np.flatnonzero(mask) + lo for lo, _, mask in _candidate_chunks(series, horizon)]
     return SubseqStem.from_values(np.concatenate(parts)) if parts else SubseqStem(())
 
 
@@ -1011,7 +1034,7 @@ def rearrangement_pipeline(
     """Provision an unbounded-subseries stream (unless the caller already
     holds it), certify its growth levels, and run the rearrangement
     construction on it."""
-    horizon = scan_horizon or default_scan_horizon(series)
+    horizon = _horizon(series, scan_horizon)
     if stream is None:
         stream = provision_candidate_stream(series, horizon)
     if depth == 0:

@@ -5,8 +5,13 @@ import sys
 
 import pytest
 
-from serieswitness.certificates import load_document, payload_without_timing
+from serieswitness.certificates import (
+    document_for_verdict,
+    load_document,
+    payload_without_timing,
+)
 from serieswitness.cli import main
+from serieswitness.runners import execute_config, resolve_config
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -173,6 +178,21 @@ def _replay(**config):
 _AM = {"series": "unit-basis-c0", "construction": "dense-open-am"}
 
 
+def _verdict(edit):
+    """An i-bounded verdict document in place of the given one, with edit
+    applied to its result."""
+    def build(doc):
+        config = resolve_config({
+            "series": "unit-basis-c0", "construction": "i-bounded",
+            "M": 0.5, "ideal": "density", "horizon": 64,
+        })
+        _, (verdict, indexer, ideal, threshold) = execute_config(config)
+        verdict_doc = document_for_verdict(verdict, indexer, ideal, threshold, config)
+        edit(verdict_doc["result"])
+        return json.loads(json.dumps(verdict_doc))
+    return build
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -194,6 +214,19 @@ _AM = {"series": "unit-basis-c0", "construction": "dense-open-am"}
         (_replay(**_AM, m="1"), "m must be an integer, got '1'"),
         (_replay(**_AM, horizon=True), "horizon must be an integer, got True"),
         (_replay(**_AM, horizon=0), "horizon must be >= 1"),
+        (_verdict(lambda r: r.pop("indexer")), "'result.indexer' is missing or not dict"),
+        (_verdict(lambda r: r.pop("exceed_runs")), "'result.exceed_runs' is missing or not"),
+        (_verdict(lambda r: r.pop("status")), "'result.status' is missing or not str"),
+        (_verdict(lambda r: r.update(threshold=None)), "'result.threshold' is missing or not"),
+        (_verdict(lambda r: r.update(horizon="x")), "'result.horizon' is missing or not int"),
+        (_verdict(lambda r: r.update(horizon=True)), "'result.horizon' is missing or not int"),
+        (_verdict(lambda r: r.update(bound="a")), "'result.bound' is missing or not int or"),
+        (_verdict(lambda r: r.update(interval_count=[5])), "'result.interval_count' is"),
+        (_verdict(lambda r: r.update(contained_intervals=7)), "'result.contained_intervals'"),
+        (_verdict(lambda r: r.update(ideal=None)), "'result.ideal' is missing or not str"),
+        (_verdict(lambda r: r.update(series=3)), "'result.series' is missing or not str"),
+        (_verdict(lambda r: r.update(indexer={"kind": "selection"})), "'result.indexer' is"),
+        (_verdict(lambda r: r.update(talagrand={"label": "x"})), "'result.talagrand' is"),
     ],
 )
 def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):

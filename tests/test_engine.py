@@ -27,6 +27,7 @@ from serieswitness.ideals import interval
 from serieswitness.series import (
     SeriesOracle,
     _signs,
+    crossing_scan,
     first_crossing,
     first_crossings,
     max_norm,
@@ -171,6 +172,19 @@ def test_reductions_match_a_scan_of_prefix_norms(name, kind):
                     series, stem, float(level), strict=strict,
                     start_pos=start, end_pos=end,
                 ) == expected
+                # a failed search reads the whole range, so its peak is the
+                # maximum over [peak_from, end]; a passed one stops at the
+                # crossing.  peak_from = 1 is the escape searches' range,
+                # peak_from = start the selection search's.
+                for peak_from in (1, start, min(start + 5, end)):
+                    scan = crossing_scan(
+                        series, stem, [float(level)], strict=strict,
+                        start_pos=start, end_pos=end, peak_from=peak_from,
+                    )
+                    assert scan.positions == ([] if expected is None else [expected])
+                    stop = end if expected is None else expected
+                    read = norms[peak_from - 1:stop]
+                    assert scan.peak == (float(read.max()) if read.size else 0.0)
 
 
 def test_norms_at_across_scalar_chunks(monkeypatch):
@@ -182,6 +196,8 @@ def test_norms_at_across_scalar_chunks(monkeypatch):
     norms = prefix_norms(series, stem, 100)
     assert np.array_equal(norms_at(series, stem, [100, 33, 1]), norms[[99, 32, 0]])
     assert max_norm(series, stem, 20, 100) == float(norms[19:].max())
+    scan = crossing_scan(series, stem, [10.0], start_pos=60, peak_from=20)
+    assert scan == ([], float(norms[19:].max()))
     assert first_crossing(series, stem, float(norms[60]), strict=False, start_pos=60) == 61
 
 

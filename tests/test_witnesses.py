@@ -147,6 +147,49 @@ def test_grow_strategy_applicability(alt, unit):
         grow_unbounded_subseries(alt, target=0.0)
 
 
+_P_PRIME = RearrStem.identity(10)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda alt, h: grow_unbounded_subseries(alt, 2.0, h),
+        lambda alt, h: derive_depth_checkpoints(alt, provision_candidate_stream(alt, 100), 1, h),
+        lambda alt, h: subseries_to_rearrangement(alt, SubseqStem.identity(10), [], 1, h),
+        lambda alt, h: nowhere_dense_witness_subseq(
+            alt, SubseqStem.identity(10), 1, SubseqStem.from_values([1]), h
+        ),
+        lambda alt, h: nowhere_dense_witness_rearr(
+            alt, _P_PRIME, 1, RearrStem.from_values([1]), h
+        ),
+        lambda alt, h: small_norm_block(alt, 10, 3, 1.0, h),
+        lambda alt, h: dense_open_witness_Bm(
+            alt, GEO, SubseqStem.identity(10), 1, SubseqStem.identity(2), h
+        ),
+        lambda alt, h: dense_open_witness_Cm(
+            alt, GEO, _P_PRIME, 1, RearrStem.from_values([1, 2, 3, 4]), h
+        ),
+        lambda alt, h: dense_open_witness_Am(
+            alt, GEO, SubseqStem.identity(10), 1, SelectionStem(), h
+        ),
+        lambda alt, h: limsup_subseries(alt, 2, h),
+        lambda alt, h: provision_candidate_stream(alt, h),
+        lambda alt, h: rearrangement_pipeline(alt, 1, h),
+    ],
+)
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_library_horizons_below_one_are_refused(alt, construct, horizon):
+    with pytest.raises(PreconditionViolation, match="horizon must be >= 1"):
+        construct(alt, horizon)
+
+
+def test_library_horizon_none_is_the_default(unit):
+    with pytest.raises(ScanExhausted, match="within horizon 10000"):
+        grow_unbounded_subseries(unit, 2.0, None)
+    with pytest.raises(PreconditionViolation):
+        grow_unbounded_subseries(unit, 2.0, 0)
+
+
 def test_grow_decaying_exhausts(decaying):
     # every selection of this series has sup norm at most 1
     with pytest.raises(ScanExhausted) as info:
