@@ -11,6 +11,7 @@ and byte-identical payloads mean identical runs.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -120,13 +121,57 @@ def checkpoint_to_json(cp: Checkpoint) -> dict[str, Any]:
     }
 
 
+_RELATIONS = (">", ">=")
+_KINDS = ("partial-sum", "term-norm")
+
+
+def _refuse_first(column: list[Any], field: str, good, what: str) -> None:
+    """Raise the DocumentError naming the first checkpoint whose field is
+    not good, if there is one."""
+    for i, value in enumerate(column):
+        if not good(value):
+            raise DocumentError(
+                f"document field 'result.checkpoints[{i}].{field}' is not {what}"
+            )
+
+
+def _finite_column(column: list[Any], field: str) -> list[float]:
+    """The column as floats; every item must be a finite int or float.  A
+    NaN or an infinity leaves the sum of the column non-finite, so one sum
+    clears the usual column; the items are looked at one by one only when
+    it does not (or large finite items overflow it)."""
+    types = set(map(type, column))
+    if not (types <= {int, float} and math.isfinite(sum(column))):
+        _refuse_first(
+            column, field, lambda v: type(v) in (int, float) and math.isfinite(v),
+            "a finite number",
+        )
+    return [float(v) for v in column] if int in types else column
+
+
+def _known_column(column: list[Any], field: str, known: tuple[str, ...]) -> list[str]:
+    """The column, whose every item must be one of the known strings."""
+    if sum(map(column.count, known)) != len(column):
+        _refuse_first(
+            column, field, lambda v: type(v) is str and v in known, f"one of {known}"
+        )
+    return column
+
+
 def checkpoints_from_json(items: list[dict[str, Any]]) -> tuple[Checkpoint, ...]:
+    """Checkpoints from their documents, checked column by column: a
+    position is an int (not a bool), a value and a bound are finite
+    numbers, a relation and a kind are ones the verifier knows.  A bad
+    field raises DocumentError naming it."""
+    positions = [data["position"] for data in items]
+    if not set(map(type, positions)) <= {int}:
+        _refuse_first(positions, "position", lambda v: type(v) is int, "an int")
     return Checkpoint.from_columns(
-        [int(data["position"]) for data in items],
-        [float(data["value"]) for data in items],
-        [float(data["bound"]) for data in items],
-        [str(data["relation"]) for data in items],
-        [str(data.get("kind", "partial-sum")) for data in items],
+        positions,
+        _finite_column([data["value"] for data in items], "value"),
+        _finite_column([data["bound"] for data in items], "bound"),
+        _known_column([data["relation"] for data in items], "relation", _RELATIONS),
+        _known_column([data.get("kind", "partial-sum") for data in items], "kind", _KINDS),
     )
 
 
@@ -167,6 +212,8 @@ def _decoded(name: str, decode, value: Any) -> Any:
     the field."""
     try:
         return decode(value)
+    except DocumentError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise DocumentError(

@@ -171,16 +171,6 @@ def _on_growing_stream(
         bound = min(bound * _BOUND_GROWTH, horizon)
 
 
-def _certified_pipeline(series: SeriesOracle, depth: int, horizon: int, stream):
-    cert = rearrangement_pipeline(series, depth, horizon, stream=stream)
-    checkpoints = [
-        (cp.position, cp.bound)
-        for cp in cert.checkpoints
-        if cp.kind == "partial-sum"
-    ]
-    return cert.stem, checkpoints
-
-
 def _grow(series, config, horizon):
     return grow_unbounded_subseries(series, float(config["target"]), horizon)
 
@@ -208,8 +198,8 @@ def _nowhere_dense_rearr(series, config, horizon):
     base = RearrStem.from_values([1])
 
     def attempt(stream):
-        stem, checkpoints = _certified_pipeline(series, m + 1, horizon, stream)
-        return nowhere_dense_witness_rearr(series, stem, m, base, horizon, checkpoints)
+        p_prime = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
+        return nowhere_dense_witness_rearr(series, p_prime, m, base, horizon)
     return _on_growing_stream(series, horizon, attempt)
 
 
@@ -234,8 +224,8 @@ def _dense_open_cm(series, config, horizon):
         if len(stream) < r:
             raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
         base = RearrStem.from_values(stream.to_numpy(r))
-        stem, checkpoints = _certified_pipeline(series, m + 1, horizon, stream)
-        return dense_open_witness_Cm(series, seq, stem, m, base, horizon, checkpoints)
+        t = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
+        return dense_open_witness_Cm(series, seq, t, m, base, horizon)
     return _on_growing_stream(series, horizon, attempt)
 
 

@@ -312,6 +312,25 @@ def _sup_chunk(
     return norms, keys[ordered], held[ordered]
 
 
+def _packed_norms(
+    series: SeriesOracle, pieces: list[np.ndarray], running: float
+) -> tuple[np.ndarray, float]:
+    """Norms over consecutive chunks of a run stem in one block, and the
+    running sum after them: one term-rule call for all of them, with each
+    chunk's arithmetic the same as on its own.  The in-chunk sums are one
+    cumsum along the rows of a zero-padded (chunks x longest) array, the
+    chunk-start sums one cumsum over [running, chunk totals...], and each
+    value is start + in-chunk sum."""
+    counts = np.array([piece.size for piece in pieces])
+    inside = np.arange(counts.max()) < counts[:, None]
+    terms = np.zeros(inside.shape)
+    terms[inside] = series.columns(np.concatenate(pieces))[1]
+    sums = np.cumsum(terms, axis=1)
+    starts = np.cumsum(np.r_[running, sums[np.arange(counts.size), counts - 1]])
+    sums += starts[:-1, None]
+    return np.abs(sums[inside]), float(starts[-1])
+
+
 def _norm_chunks(
     series: SeriesOracle, indexer: IndexerStem, horizon: int
 ) -> Iterator[np.ndarray]:
@@ -319,17 +338,29 @@ def _norm_chunks(
     positions 1..horizon, in consecutive pieces, ending early with the stem.
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
-    of the arithmetic and every reduction below shares it.  The chunk is
+    of the arithmetic and every reduction below shares it.  A long chunk is
     evaluated in blocks of _BLOCK terms, each block's cumsum starting from
     the in-chunk sum so far: the values stay the same bit for bit, the
-    temporaries stay in cache, and a scan can stop inside a chunk."""
+    temporaries stay in cache, and a scan can stop inside a chunk.  Short
+    chunks of a run stem are packed into one block while (chunks x longest
+    chunk) stays within _BLOCK (see _packed_norms), with the same values."""
     running = 0.0
     keys, held = np.empty(0, dtype=np.int64), np.empty(0)
+    packed: list[np.ndarray] = []
+    width = 0
     for indices, bits in _index_chunks(indexer, horizon):
         if not series.is_scalar:
             coords, coeffs = series.columns(indices)
             norms, keys, held = _sup_chunk(coords, _weighted(coeffs, bits), keys, held)
             yield norms
+            continue
+        if packed and (len(packed) + 1) * max(width, indices.size) > _BLOCK:
+            norms, running = _packed_norms(series, packed, running)
+            yield norms
+            packed, width = [], 0
+        if bits is None and indices.size <= _BLOCK:
+            packed.append(indices)
+            width = max(width, indices.size)
             continue
         for lo in range(0, indices.size, _BLOCK):
             hi = lo + _BLOCK
@@ -341,6 +372,8 @@ def _norm_chunks(
             csum += running
             yield np.abs(csum, out=csum)
         running = float(running + carry)
+    if packed:
+        yield _packed_norms(series, packed, running)[0]
 
 
 def _norms_between(
@@ -387,11 +420,13 @@ def norms_at(
 
 class Scan(NamedTuple):
     """What one crossing scan found: the crossing positions, as in
-    first_crossings, and the peak, the largest norm from peak_from to the
-    last position read (0.0 if none; always 0.0 without a peak_from)."""
+    first_crossings; the peak, the largest norm from peak_from to the last
+    position read (0.0 if none; always 0.0 without a peak_from); and the
+    norm at each crossing position."""
 
     positions: list[int]
     peak: float
+    values: list[float]
 
 
 def crossing_scan(
@@ -408,6 +443,7 @@ def crossing_scan(
     end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
     lo = start_pos if peak_from is None else min(start_pos, peak_from)
     found: list[int] = []
+    values: list[float] = []
     peak = None
     for first, norms in _norms_between(series, indexer, lo, end_pos):
         at = max(start_pos - first, 0)
@@ -418,6 +454,7 @@ def crossing_scan(
                 break
             at += int(np.argmax(hits)) + 1
             found.append(first + at - 1)
+            values.append(float(norms[at - 1]))
         done = bool(thresholds) and len(found) == len(thresholds)
         if peak_from is not None:
             seen = norms[max(peak_from - first, 0): at if done else None]
@@ -426,7 +463,7 @@ def crossing_scan(
                 peak = high if peak is None else max(peak, high)
         if done:
             break
-    return Scan(found, 0.0 if peak is None else peak)
+    return Scan(found, 0.0 if peak is None else peak, values)
 
 
 def first_crossings(

@@ -402,9 +402,10 @@ def missing_below(stem: _RunStem, bound: int) -> tuple[IndexRun, ...]:
     """Runs listing {1..bound} minus the stem's values, in increasing order."""
     mask = np.ones(bound + 1, dtype=bool)
     mask[0] = False
-    for chunk in stem.iter_chunks():
-        inside = chunk[chunk <= bound]
-        mask[inside] = False
+    for run in stem.runs:
+        first, step, count = _normalized(run)
+        last = min(first + (count - 1) * step, bound)
+        mask[first:last + 1:step] = False
     absent = np.flatnonzero(mask).astype(np.int64)
     return compress_values(absent)
 

@@ -208,10 +208,26 @@ def _canonical_checkpoints(
 ) -> tuple[Checkpoint, ...]:
     """Recompute checkpoint values through the canonical engine so that
     construction and verification agree bit for bit."""
+    return _checked_checkpoints(raw, norms_at(series, stem, [p for p, _, _ in raw]))
+
+
+def _checked_checkpoints(
+    raw: Sequence[tuple[int, float, str]], values: Sequence[float] | np.ndarray
+) -> tuple[Checkpoint, ...]:
+    """Partial-sum checkpoints from (position, bound, relation) and the norm
+    at each position; a norm that misses its relation raises ScanExhausted.
+
+    The constructions pass the norms their crossing scans read, and these
+    are the values norms_at gives on the final stem.  That stem is the
+    scanned candidate's prefix through the crossing, perhaps closed into a
+    bijection and extended by later stages, which only append runs.  Runs
+    are never merged, and the engine's arithmetic at a position depends
+    only on the runs up to it, so the scan and a recompute agree bit for
+    bit."""
     if not raw:
         return ()
     positions, bounds, relations = zip(*raw)
-    values = norms_at(series, stem, positions)
+    values = np.asarray(values, dtype=np.float64)
     floats = np.array(bounds, dtype=np.float64)
     missed = np.flatnonzero(~relation_holds(values, floats, relations))
     if missed.size:
@@ -219,7 +235,7 @@ def _canonical_checkpoints(
         value = values[int(missed[0])]
         raise ScanExhausted(
             "checkpoint-recompute",
-            f"recomputed norm {value!r} at position {position} misses "
+            f"norm {value!r} at position {position} misses "
             f"{relation} {bound}",
             position,
             best=float(value),
@@ -466,6 +482,7 @@ def subseries_to_rearrangement(
         )
     q = RearrStem(())
     raw: list[tuple[int, float, str]] = []
+    values: list[float] = []
     boundaries: list[int] = []
     for level in range(1, depth + 1):
         k_prev = len(q)
@@ -496,13 +513,14 @@ def subseries_to_rearrangement(
             )
         position = scan.positions[0]
         raw.append((position, float(level), ">="))
+        values.append(scan.values[0])
         q = extend_to_prefix_bijection(candidate.prefix(position))
         boundaries.append(len(q))
     return WitnessCertificate(
         construction="rearrangement",
         series_name=series.name,
         stem=q,
-        checkpoints=_canonical_checkpoints(series, q, raw),
+        checkpoints=_checked_checkpoints(raw, values),
         stage_boundaries=tuple(boundaries),
         details=(("depth", depth),),
     )
@@ -557,9 +575,7 @@ def nowhere_dense_witness_subseq(
         construction="nowhere-dense-subseq",
         series_name=series.name,
         stem=witness,
-        checkpoints=_canonical_checkpoints(
-            series, witness, [(position, float(m), ">")]
-        ),
+        checkpoints=_checked_checkpoints([(position, float(m), ">")], scan.values),
         base=base,
         details=(("m", float(m)), ("tail-start", tail_start)),
     )
@@ -614,9 +630,7 @@ def nowhere_dense_witness_rearr(
         construction="nowhere-dense-rearr",
         series_name=series.name,
         stem=witness,
-        checkpoints=_canonical_checkpoints(
-            series, witness, [(position, float(m), ">")]
-        ),
+        checkpoints=_checked_checkpoints([(position, float(m), ">")], scan.values),
         base=base,
         stage_boundaries=(len(witness),),
         details=(("m", float(m)), ("tail-start", tail_start)),
@@ -1103,7 +1117,7 @@ def verify_certificate(
         else:
             recorded = np.array(values, dtype=np.float64)[order]
             with np.errstate(invalid="ignore"):
-                far = np.abs(recomputed - recorded) > DELTA
+                far = ~(np.abs(recomputed - recorded) <= DELTA)
             held = np.ones(order.size, dtype=bool)
             near = order[~far]
             held[~far] = relation_holds(
@@ -1127,7 +1141,7 @@ def verify_certificate(
             issues.append(f"term checkpoint at position {cp.position} is off-stem")
             continue
         recomputed = float(series.term_norms(np.array([index]))[0])
-        if abs(recomputed - cp.value) > DELTA:
+        if not abs(recomputed - cp.value) <= DELTA:
             issues.append(
                 f"term checkpoint at position {cp.position}: recorded "
                 f"{cp.value!r} but recomputed {recomputed!r}"

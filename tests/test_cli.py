@@ -168,6 +168,16 @@ def _drop_result(name):
     return edit
 
 
+def _checkpoint(of, **changes):
+    """An edit of the first checkpoint of kind `of`: each change maps a
+    field to a function of its recorded value."""
+    def edit(doc):
+        cp = next(cp for cp in doc["result"]["checkpoints"] if cp["kind"] == of)
+        cp.update({name: change(cp[name]) for name, change in changes.items()})
+        return doc
+    return edit
+
+
 def _replay(**config):
     """The document as an exhaustion report, whose verification replays config."""
     def edit(doc):
@@ -209,6 +219,12 @@ def _verdict(edit):
         (_drop_result("series"), "'result.series' is missing"),
         (_drop_result("stem"), "'result.stem' is missing"),
         (_set_result("checkpoints", None), "'result.checkpoints' is missing or not"),
+        (_checkpoint("partial-sum", position=lambda p: True), "'result.checkpoints[0].position'"),
+        (_checkpoint("partial-sum", bound=lambda b: float("inf")),
+         "'result.checkpoints[0].bound' is not a finite number"),
+        (_checkpoint("partial-sum", relation=lambda r: ">>"), "'result.checkpoints[0].relation'"),
+        (_checkpoint("partial-sum", kind=lambda k: None), "'result.checkpoints[0].kind'"),
+        (_checkpoint("partial-sum", value=lambda v: [v]), "'result.checkpoints[0].value'"),
         (_set_result("details", [1, 2]), "'result.details' is missing or not"),
         (_replay(construction="dense-open-am", m=1), "series must be a string, got None"),
         (_replay(**_AM, m="1"), "m must be an integer, got '1'"),
@@ -241,6 +257,36 @@ def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named
             "--out", str(out),
         ]
     ) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(load_document(str(out)))))
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad)]) == 1
+    assert named in capsys.readouterr().err
+
+
+_REARRANGEMENT = ["--series", "alt-harmonic", "--construction", "rearrangement",
+                  "--depth", "2", "--horizon", "10000"]
+_LIMSUP = ["--series", "growing-real", "--construction", "limsup-subseries",
+           "--depth", "2", "--horizon", "1000"]
+
+
+@pytest.mark.parametrize(
+    "run, edit, named",
+    [
+        (_REARRANGEMENT, _checkpoint("partial-sum", value=lambda v: float("nan")),
+         "'result.checkpoints[0].value' is not a finite number"),
+        (_LIMSUP, _checkpoint("term-norm", value=lambda v: float("nan")),
+         "'result.checkpoints[0].value' is not a finite number"),
+        # the recorded value itself, as a string
+        (_REARRANGEMENT, _checkpoint("partial-sum", value=repr),
+         "'result.checkpoints[0].value' is not a finite number"),
+        (_REARRANGEMENT, _checkpoint("partial-sum", position=lambda p: p + 0.7),
+         "'result.checkpoints[0].position' is not an int"),
+    ],
+)
+def test_verify_refuses_ill_typed_checkpoints(tmp_path, capsys, run, edit, named):
+    out = tmp_path / "cert.json"
+    assert run_cli(["run", *run, "--out", str(out)]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(load_document(str(out)))))
     capsys.readouterr()

@@ -182,6 +182,7 @@ def test_reductions_match_a_scan_of_prefix_norms(name, kind):
                         start_pos=start, end_pos=end, peak_from=peak_from,
                     )
                     assert scan.positions == ([] if expected is None else [expected])
+                    assert scan.values == [float(norms[p - 1]) for p in scan.positions]
                     stop = end if expected is None else expected
                     read = norms[peak_from - 1:stop]
                     assert scan.peak == (float(read.max()) if read.size else 0.0)
@@ -197,7 +198,10 @@ def test_norms_at_across_scalar_chunks(monkeypatch):
     assert np.array_equal(norms_at(series, stem, [100, 33, 1]), norms[[99, 32, 0]])
     assert max_norm(series, stem, 20, 100) == float(norms[19:].max())
     scan = crossing_scan(series, stem, [10.0], start_pos=60, peak_from=20)
-    assert scan == ([], float(norms[19:].max()))
+    assert scan == ([], float(norms[19:].max()), [])
+    # crossings in two chunks carry the norms at their positions
+    scan = crossing_scan(series, stem, [0.7, 0.7, 0.7], start_pos=60)
+    assert scan == ([61, 63, 65], 0.0, norms[[60, 62, 64]].tolist())
     assert first_crossing(series, stem, float(norms[60]), strict=False, start_pos=60) == 61
 
 
@@ -318,6 +322,47 @@ def test_blocked_engine_with_tiny_blocks(monkeypatch, block, kind):
     assert_bitwise_equal(
         prefix_norms(series, stem, 300), reference_scalar_norms(series, stem, 300, 37)
     )
+
+
+@st.composite
+def packed_stems(draw):
+    """(block, chunk, stem, horizon): a rearrangement stem of runs from one
+    value long to past both the block and the chunk, in either direction."""
+    block = draw(st.sampled_from([1, 2, 3, 8, 16]))
+    chunk = draw(st.integers(block, 40))
+    runs, low = [], 1
+    for count in draw(st.lists(st.integers(1, chunk + 2 * block + 3), min_size=1, max_size=40)):
+        step = draw(st.integers(1, 3))
+        last = low + (count - 1) * step
+        runs.append(IndexRun(last, -step, count) if draw(st.booleans()) else IndexRun(low, step, count))
+        low = last + draw(st.integers(1, 4))
+    stem = RearrStem(runs)
+    return block, chunk, stem, draw(st.integers(1, len(stem)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_stems(), st.sampled_from(["alt-harmonic", "growing-real"]))
+def test_packed_engine_equals_the_per_run_reference(drawn, name):
+    block, chunk, stem, horizon = drawn
+    series = catalog_series(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_CHUNK", chunk)
+        patch.setattr(series_module, "_BLOCK", block)
+        got = prefix_norms(series, stem, horizon)
+    assert_bitwise_equal(got, reference_scalar_norms(series, stem, horizon, chunk))
+
+
+def test_short_runs_share_one_term_rule_call():
+    # 10,000 random values compress into about as many runs of one or two
+    # values, which fit one block: one term-rule call for all of them
+    series, seen = counting(catalog_series("alt-harmonic"))
+    rng = np.random.default_rng(3)
+    values = rng.choice(np.arange(1, 20_000), size=10_000, replace=False)
+    stem = RearrStem.from_values(values)
+    norms = prefix_norms(series, stem, len(stem))
+    assert len(stem.runs) * max(run.count for run in stem.runs) <= series_module._BLOCK
+    assert len(seen) == 1
+    assert_bitwise_equal(norms, reference_scalar_norms(series, stem, len(stem)))
 
 
 def counting(series):

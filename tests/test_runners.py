@@ -1,9 +1,11 @@
 """The registry's stream-fed builders provision the candidate stream in
 growing bounds; their payloads must equal those of one eager provisioning
-to the horizon, exhaustions included."""
+to the horizon, exhaustions included.  The work the cells do is pinned."""
 
+import numpy as np
 import pytest
 
+import serieswitness.series as series_module
 from serieswitness import runners
 from serieswitness.certificates import (
     document_for_certificate,
@@ -11,7 +13,13 @@ from serieswitness.certificates import (
     payload_without_timing,
 )
 from serieswitness.runners import execute_config, resolve_config
-from serieswitness.witnesses import ScanExhausted
+from serieswitness.series import SeriesOracle, catalog_series
+from serieswitness.stems import SubseqStem
+from serieswitness.witnesses import (
+    ScanExhausted,
+    nowhere_dense_witness_subseq,
+    provision_candidate_stream,
+)
 
 STREAM_FED = (
     "rearrangement",
@@ -95,3 +103,66 @@ def test_a_shallow_rearrangement_provisions_one_small_bound(bounds):
     _payload({"series": "alt-harmonic", "construction": "rearrangement",
               "horizon": 3_000_000, "depth": 1})
     assert bounds == [1 << 16]
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """A counting copy of alt-harmonic, handed to the registry, and the work
+    it sees: positions the partial-sum engine streams, term-rule calls and
+    the terms those calls evaluate (the engine's and the provisioning's)."""
+    seen = {"positions": 0, "calls": 0, "terms": 0}
+    alt = catalog_series("alt-harmonic")
+
+    def rule(n):
+        seen["calls"] += 1
+        seen["terms"] += n.size
+        return alt.rule(n)
+
+    counted = SeriesOracle(alt.name, alt.space, alt.description,
+                           alt.liminf_norm_zero, alt.limsup_norm_infinite, rule)
+    engine = series_module._norm_chunks
+
+    def streamed(*args):
+        for norms in engine(*args):
+            seen["positions"] += norms.size
+            yield norms
+
+    monkeypatch.setattr(series_module, "_norm_chunks", streamed)
+    monkeypatch.setattr(runners, "catalog_series", lambda name: counted)
+    return counted, seen
+
+
+# Each position is read once per fact: a checkpoint takes its value from
+# the scan that found it, the registry does not re-check the p' it has just
+# built, and short runs share one term-rule call.
+@pytest.mark.parametrize(
+    "flags, positions, calls, terms",
+    [
+        ({"construction": "rearrangement", "depth": 3}, 2_035_821, 181, 5_625_645),
+        # an exhaustion: p' of depth 3 never passes 2 after the value 1
+        ({"construction": "nowhere-dense-rearr", "m": 2}, 4_863_047, 270, 8_452_871),
+    ],
+)
+def test_registry_work_counts(work, flags, positions, calls, terms):
+    _, seen = work
+    config = resolve_config({"series": "alt-harmonic", "horizon": 3_000_000, **flags})
+    try:
+        execute_config(config)
+    except ScanExhausted:
+        pass
+    assert seen == {"positions": positions, "calls": calls, "terms": terms}
+
+
+def test_open_set_work_counts(work):
+    counted, seen = work
+    stream = provision_candidate_stream(counted, 3_000_000)
+    values = np.random.default_rng(1).choice(np.arange(1, 4_501), size=1_500, replace=False)
+    base = SubseqStem.from_values(np.sort(values))
+    assert len(base.runs) > 1_000
+    seen.update(positions=0, calls=0, terms=0)
+    nowhere_dense_witness_subseq(counted, stream, 1, base, 3_000_000)
+    assert seen == {"positions": 34_268, "calls": 2, "terms": 34_268}

@@ -13,6 +13,7 @@ from serieswitness.stems import (
     SubseqStem,
     compress_values,
     extend_to_prefix_bijection,
+    missing_below,
     runs_intersect,
 )
 
@@ -295,6 +296,26 @@ def test_cover_position_matches_the_walk(runs, targets):
     stem = RearrStem(disjoint_runs(runs))
     expected = reference_cover_position(stem, targets)
     assert stem.cover_position(np.array(targets, dtype=np.int64)) == expected
+
+
+def reference_missing_below(stem, bound):
+    """The value-scatter mask that missing_below used to fill."""
+    mask = np.ones(bound + 1, dtype=bool)
+    mask[0] = False
+    for chunk in stem.iter_chunks():
+        mask[chunk[chunk <= bound]] = False
+    return compress_values(np.flatnonzero(mask))
+
+
+@given(run_lists, st.integers(0, 50))
+@example([IndexRun(13, -3, 5)], 7)
+@example([IndexRun(2, 5, 6), IndexRun(30, -4, 3)], 24)
+@example([IndexRun(40, 1, 3)], 12)
+@settings(max_examples=400)
+def test_missing_below_matches_the_scatter(runs, bound):
+    # runs of either direction, below, across and past the bound
+    stem = RearrStem(disjoint_runs(runs))
+    assert missing_below(stem, bound) == reference_missing_below(stem, bound)
 
 
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),

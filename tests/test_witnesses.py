@@ -12,6 +12,7 @@ from serieswitness import (
     ScanExhausted,
     SelectionStem,
     SubseqStem,
+    catalog_series,
     dense_open_witness_Am,
     dense_open_witness_Bm,
     dense_open_witness_Cm,
@@ -19,6 +20,7 @@ from serieswitness import (
     geometric_talagrand,
     grow_unbounded_subseries,
     limsup_subseries,
+    norms_at,
     nowhere_dense_witness_rearr,
     nowhere_dense_witness_subseq,
     provision_candidate_stream,
@@ -572,3 +574,74 @@ def test_verify_rejects_broken_bijection(growing):
     )
     issues = verify_certificate(broken)
     assert any("bijection" in issue for issue in issues)
+
+
+@pytest.mark.parametrize("kind", ["partial-sum", "term-norm"])
+def test_verify_rejects_a_nan_value(growing, kind):
+    # NaN compares False with everything, so a far-from test would pass it
+    cert = limsup_subseries(growing, 2, 1000)
+    at = next(i for i, cp in enumerate(cert.checkpoints) if cp.kind == kind)
+    checkpoints = list(cert.checkpoints)
+    checkpoints[at] = checkpoints[at]._replace(value=math.nan)
+    tampered = cert.__class__(
+        construction=cert.construction,
+        series_name=cert.series_name,
+        stem=cert.stem,
+        checkpoints=tuple(checkpoints),
+        details=cert.details,
+    )
+    issues = verify_certificate(tampered)
+    assert len(issues) == 1 and "recorded" in issues[0] and "nan" in issues[0]
+
+
+# ---------------------------------------------------------------------------
+# checkpoint values taken from the crossing scans
+
+
+def _scanned_constructions(series):
+    """The constructions whose checkpoint values come from their scans, as
+    calls: rearrangements of depth 1 to 3, escapes from the one-value open
+    sets at m = 1, 2, and escapes from random open sets as in the
+    stem-load benchmark (bases of hundreds of short runs)."""
+    horizon = 3_000_000
+    stream = provision_candidate_stream(series, horizon)
+    p_prime = rearrangement_pipeline(series, 3, horizon, stream=stream).stem
+    calls = [
+        lambda depth=depth: rearrangement_pipeline(series, depth, horizon, stream=stream)
+        for depth in (1, 2, 3)
+    ]
+    for m in (1, 2):
+        calls.append(lambda m=m: nowhere_dense_witness_subseq(
+            series, stream, m, SubseqStem.from_values([1]), horizon))
+        calls.append(lambda m=m: nowhere_dense_witness_rearr(
+            series, p_prime, m, RearrStem.from_values([1]), horizon))
+    rng = np.random.default_rng(sum(map(ord, series.name)))
+    for r, value_max in ((250, 500), (200, 1800)):
+        base = RearrStem.from_values(
+            rng.choice(np.arange(1, value_max + 1), size=r, replace=False))
+        calls.append(lambda base=base: nowhere_dense_witness_rearr(
+            series, p_prime, 1, base, horizon))
+    for r, value_max in ((900, 2700), (1500, 4500)):
+        base = SubseqStem.from_values(
+            np.sort(rng.choice(np.arange(1, value_max + 1), size=r, replace=False)))
+        calls.append(lambda base=base: nowhere_dense_witness_subseq(
+            series, stream, 1, base, horizon))
+    return calls
+
+
+# alt-harmonic's p' of depth 3 never passes 2 after the value 1, and
+# growing-real's p' (six values) never covers a random rearrangement base
+@pytest.mark.parametrize("name, exhausted", [("alt-harmonic", 1), ("growing-real", 2)])
+def test_scanned_checkpoints_equal_a_fresh_recompute(name, exhausted):
+    series = catalog_series(name)
+    misses = 0
+    for call in _scanned_constructions(series):
+        try:
+            cert = call()
+        except ScanExhausted:
+            misses += 1
+            continue
+        positions = [cp.position for cp in cert.checkpoints]
+        fresh = norms_at(series, cert.stem, positions).tolist()
+        assert [cp.value.hex() for cp in cert.checkpoints] == [v.hex() for v in fresh]
+    assert misses == exhausted
