@@ -38,7 +38,6 @@ from .series import (
 from .ideals import (
     BoundednessVerdict,
     ExceedanceReport,
-    GapInTrace,
     IdealSpec,
     TalagrandSequence,
     default_talagrand,

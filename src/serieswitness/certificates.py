@@ -77,14 +77,29 @@ def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
     }
 
 
+class _BadSegment(ValueError):
+    """A stem segment is not [start, step, count]: three ints (no bools), a
+    count >= 1, and first and last values inside int64.  args[0] is its
+    index in the segment list."""
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def stem_from_json(data: dict[str, Any]) -> IndexerStem:
     kind = data["kind"]
     if kind == "selection":
         return SelectionStem(_bits_from_rle(data["rle"]))
-    runs = tuple(
-        IndexRun(int(start), int(step), int(count))
-        for start, step, count in data["segments"]
-    )
+    runs = []
+    for i, segment in enumerate(data["segments"]):
+        if not (type(segment) is list and len(segment) == 3
+                and all(type(v) is int for v in segment)):
+            raise _BadSegment(i)
+        start, step, count = segment
+        last = start + (count - 1) * step
+        if count < 1 or not all(_INT64_MIN <= v <= _INT64_MAX for v in (start, last)):
+            raise _BadSegment(i)
+        runs.append(IndexRun(start, step, count))
     if kind == "subseq":
         return SubseqStem(runs)
     if kind == "rearr":
@@ -214,6 +229,11 @@ def _decoded(name: str, decode, value: Any) -> Any:
         return decode(value)
     except DocumentError:
         raise
+    except _BadSegment as exc:
+        raise DocumentError(
+            f"document field 'result.{name}.segments[{exc.args[0]}]' is not three ints "
+            "with a count >= 1 and first and last values inside int64"
+        ) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise DocumentError(
@@ -354,13 +374,10 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
     use, as in certificate_from_json; a missing or ill-typed one raises
     DocumentError."""
     result = doc["result"]
-    null = type(None)
     series = catalog_series(_result_field(result, "series", (str,)))
     indexer = _decoded("indexer", stem_from_json, _result_field(result, "indexer", (dict,)))
     _result_field(result, "ideal", (str,))
-    seq = _decoded(
-        "talagrand", talagrand_from_json, _result_field(result, "talagrand", (dict, null))
-    )
+    seq = _decoded("talagrand", talagrand_from_json, _result_field(result, "talagrand", (dict,)))
     horizon = _result_field(result, "horizon", (int,))
     bound = float(_result_field(result, "bound", (int, float)))
     threshold = _result_field(result, "threshold", (int,))

@@ -25,15 +25,9 @@ from .certificates import (
     verify_document,
     write_document,
 )
-from .ideals import DEFAULT_EVIDENCE_THRESHOLD
-from .runners import CONSTRUCTIONS, IDEALS, SEQUENCES, execute_config, resolve_config
-from .series import UnknownSeries, catalog_names, catalog_series
-from .witnesses import (
-    InconsistentGrowthWitness,
-    PatternTooLarge,
-    PreconditionViolation,
-    ScanExhausted,
-)
+from .runners import CONSTRUCTIONS, PARAMS, execute_config, resolve_config
+from .series import catalog_names, catalog_series
+from .witnesses import PreconditionViolation, ScanExhausted
 
 HORIZON_ENV = "SERIESWITNESS_HORIZON"
 
@@ -48,7 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a construction and emit a certificate")
+    run = sub.add_parser(
+        "run",
+        help="execute a construction and emit a certificate",
+        description=f"Without --horizon, ${HORIZON_ENV} sets the scan horizon.",
+    )
     run.add_argument("--series", required=True, help="catalog series name")
     run.add_argument(
         "--construction",
@@ -56,26 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=CONSTRUCTIONS,
         help="which witness construction or verdict to run",
     )
-    run.add_argument("--m", type=int, default=None, help="escape level m")
-    run.add_argument("--M", type=float, default=None, help="boundedness bound M")
-    run.add_argument("--target", type=float, default=None, help="growth target")
-    run.add_argument("--depth", type=int, default=None, help="construction depth")
-    run.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help=f"scan horizon (also settable via ${HORIZON_ENV})",
-    )
-    run.add_argument("--ideal", choices=tuple(IDEALS), default=None)
-    run.add_argument(
-        "--talagrand",
-        choices=tuple(SEQUENCES),
-        default=None,
-        help="interval sequence: geometric n_k = 2^k or linear n_k = k",
-    )
-    run.add_argument("--threshold", type=int, default=None,
-                     help="contained-interval count treated as unboundedness evidence"
-                     f" (default {DEFAULT_EVIDENCE_THRESHOLD})")
+    for key, param in PARAMS.items():
+        if isinstance(param.kind, dict):
+            run.add_argument(f"--{key}", choices=tuple(param.kind), help=param.help)
+        else:
+            run.add_argument(f"--{key}", type=param.kind, help=param.help)
     run.add_argument("--out", default=None, help="write the JSON document here")
     run.add_argument(
         "--no-verify",
@@ -96,21 +79,17 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, Any]:
         "series": args.series,
         "construction": args.construction,
     }
-    if args.horizon is not None:
-        config["horizon"] = args.horizon
-    else:
-        env = os.environ.get(HORIZON_ENV)
-        if env:
-            try:
-                config["horizon"] = int(env)
-            except ValueError:
-                raise PreconditionViolation(
-                    f"${HORIZON_ENV} must be an integer, got {env!r}"
-                ) from None
-    for key in ("m", "M", "target", "depth", "ideal", "talagrand", "threshold"):
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
+    for key in PARAMS:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    env = os.environ.get(HORIZON_ENV)
+    if "horizon" not in config and env:
+        try:
+            config["horizon"] = int(env)
+        except ValueError:
+            raise PreconditionViolation(
+                f"${HORIZON_ENV} must be an integer, got {env!r}"
+            ) from None
     return config
 
 
@@ -206,14 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             return _verify(args)
         if args.command == "catalog":
             return _catalog(args)
-    except (
-        PreconditionViolation,
-        InconsistentGrowthWitness,
-        PatternTooLarge,
-        UnknownSeries,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

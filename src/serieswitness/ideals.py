@@ -22,7 +22,6 @@ from .spaces import DELTA
 from .stems import IndexerStem
 
 __all__ = [
-    "GapInTrace",
     "TalagrandSequence",
     "IdealSpec",
     "ExceedanceReport",
@@ -47,10 +46,6 @@ DEFAULT_EVIDENCE_THRESHOLD = 3
 FIN = "fin"
 DENSITY = "density"
 TALAGRAND_GIVEN = "talagrand-given"
-
-
-class GapInTrace(ValueError):
-    """Exceedance needs a contiguous trace over 1..horizon."""
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ class ExceedanceReport:
 def exceedance_report(
     trace: PartialSumTrace, bound: float, seq: TalagrandSequence
 ) -> ExceedanceReport:
-    """Evidence extraction from a contiguous trace.
+    """Evidence extraction from a trace of positions 1..horizon.
 
     A position exceeds when its norm is > bound + DELTA; interval k is
     listed only if every position of [n_k, n_{k+1}) lies inside both the
@@ -208,8 +203,6 @@ def exceedance_report(
     """
     if not math.isfinite(bound):
         raise ValueError("the bound must be finite; pick one above every norm")
-    if not trace.is_contiguous():
-        raise GapInTrace("trace must cover 1..horizon without gaps")
     horizon = trace.horizon
     mask = trace.norms > bound + DELTA
     exceeding = np.concatenate(([0], np.cumsum(mask)))
@@ -221,7 +214,7 @@ def exceedance_report(
     return ExceedanceReport(
         bound=float(bound),
         horizon=horizon,
-        exceed_set=frozenset(trace.positions[mask].tolist()),
+        exceed_set=frozenset((np.flatnonzero(mask) + 1).tolist()),
         contained_intervals=tuple(contained.tolist()),
         talagrand=seq,
     )

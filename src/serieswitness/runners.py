@@ -55,22 +55,26 @@ _BOUND_GROWTH = 8
 class Param(NamedTuple):
     """The type of a parameter, the same in every construction: int or float
     (which admits ints; neither admits bools) with an optional least value,
-    or a table of names.  noun names the parameter in resolution errors."""
+    or a table of names.  noun names the parameter in resolution errors;
+    help describes its command-line flag."""
 
     kind: Any
     minimum: int | None = None
     noun: str = ""
+    help: str = ""
 
 
 PARAMS = {
-    "horizon": Param(int, 1),
-    "m": Param(int, 0),
-    "depth": Param(int, 0),
-    "threshold": Param(int),
-    "target": Param(float),
-    "M": Param(float, noun="a bound"),
-    "ideal": Param(IDEALS, noun="ideal"),
-    "talagrand": Param(SEQUENCES, noun="interval sequence"),
+    "horizon": Param(int, 1, help="scan horizon"),
+    "m": Param(int, 0, help="escape level m"),
+    "depth": Param(int, 0, help="construction depth"),
+    "threshold": Param(int, help="contained-interval count treated as unboundedness "
+                       f"evidence (default {DEFAULT_EVIDENCE_THRESHOLD})"),
+    "target": Param(float, help="growth target"),
+    "M": Param(float, noun="a bound", help="boundedness bound M"),
+    "ideal": Param(IDEALS, noun="ideal", help="ideal of an i-bounded verdict"),
+    "talagrand": Param(SEQUENCES, noun="interval sequence",
+                       help="interval sequence: geometric n_k = 2^k or linear n_k = k"),
 }
 
 

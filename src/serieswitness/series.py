@@ -21,13 +21,7 @@ from .spaces import (
     real_line,
     sequence_space,
 )
-from .stems import (
-    IndexerStem,
-    RearrStem,
-    SelectionStem,
-    SubseqStem,
-    extend_to_prefix_bijection,
-)
+from .stems import IndexerStem, SelectionStem
 
 __all__ = [
     "SeriesOracle",
@@ -41,11 +35,6 @@ __all__ = [
     "norms_at",
     "Scan",
     "crossing_scan",
-    "first_crossing",
-    "first_crossings",
-    "max_norm",
-    "extend_to_prefix_bijection",
-    "stem_kind",
 ]
 
 _CHUNK = 1 << 20
@@ -166,53 +155,16 @@ def catalog_series(name: str) -> SeriesOracle:
         raise UnknownSeries(f"unknown series {name!r}; catalog has: {known}") from None
 
 
-def stem_kind(indexer: IndexerStem) -> str:
-    if isinstance(indexer, SelectionStem):
-        return "selection"
-    if isinstance(indexer, SubseqStem):
-        return "subseq"
-    if isinstance(indexer, RearrStem):
-        return "rearr"
-    raise TypeError(f"not an indexer stem: {indexer!r}")
-
-
 @dataclass(frozen=True)
 class PartialSumTrace:
-    """Norms of the running partial sums read off a stem.
+    """Norms of the running partial sums read off a stem: norms[i] is the
+    norm at position i + 1, for every position 1..horizon."""
 
-    positions is strictly increasing; every recorded norm is recomputable
-    from the stem and the catalog.
-    """
-
-    series_name: str
-    kind: str
-    stem: IndexerStem
-    positions: np.ndarray
     norms: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.positions.shape != self.norms.shape:
-            raise ValueError("positions and norms must align")
-        if self.positions.size and np.any(np.diff(self.positions) <= 0):
-            raise ValueError("trace positions must strictly increase")
 
     @property
     def horizon(self) -> int:
-        return int(self.positions[-1]) if self.positions.size else 0
-
-    @property
-    def checkpoints(self) -> tuple[tuple[int, float], ...]:
-        return tuple(
-            (int(l), float(v)) for l, v in zip(self.positions, self.norms)
-        )
-
-    def is_contiguous(self) -> bool:
-        if not self.positions.size:
-            return True
-        return bool(
-            self.positions[0] == 1
-            and np.all(np.diff(self.positions) == 1)
-        )
+        return int(self.norms.size)
 
 
 def _index_chunks(
@@ -338,7 +290,7 @@ def _norm_chunks(
     positions 1..horizon, in consecutive pieces, ending early with the stem.
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
-    of the arithmetic and every reduction below shares it.  A long chunk is
+    of the arithmetic that norms_at and crossing_scan share.  A long chunk is
     evaluated in blocks of _BLOCK terms, each block's cumsum starting from
     the in-chunk sum so far: the values stay the same bit for bit, the
     temporaries stay in cache, and a scan can stop inside a chunk.  Short
@@ -419,10 +371,10 @@ def norms_at(
 
 
 class Scan(NamedTuple):
-    """What one crossing scan found: the crossing positions, as in
-    first_crossings; the peak, the largest norm from peak_from to the last
-    position read (0.0 if none; always 0.0 without a peak_from); and the
-    norm at each crossing position."""
+    """What one crossing scan found: the crossing positions; the peak, the
+    largest norm from peak_from to the last position read (0.0 if none;
+    always 0.0 without a peak_from); and the norm at each crossing
+    position."""
 
     positions: list[int]
     peak: float
@@ -434,12 +386,17 @@ def crossing_scan(
     strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
     peak_from: int | None = None,
 ) -> Scan:
-    """The crossing scan that first_crossings, first_crossing and max_norm
-    share.  It stops at the last crossing it needs, so a search that comes
-    up short has read all of [start_pos, end_pos] and its peak is the
-    maximum over [peak_from, end_pos]: a failed search reports its best
-    norm without a second scan.  With no thresholds the whole range is
-    read."""
+    """The one reduction of the partial-sum engine.  In one scan of
+    [start_pos, end_pos] it finds the first position whose norm passes
+    thresholds[0] (> t + DELTA if strict, else >= t), then the first one
+    after it passing thresholds[1], and so on; the positions end at the
+    first threshold not passed.  It stops at the last crossing it needs,
+    so a search that comes up short has read all of [start_pos, end_pos]
+    and its peak is the maximum over [peak_from, end_pos]: a failed search
+    reports its best norm without a second scan.  With no thresholds the
+    whole range is read for its peak, and nothing without a peak_from."""
+    if not thresholds and peak_from is None:
+        return Scan([], 0.0, [])
     end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
     lo = start_pos if peak_from is None else min(start_pos, peak_from)
     found: list[int] = []
@@ -466,45 +423,6 @@ def crossing_scan(
     return Scan(found, 0.0 if peak is None else peak, values)
 
 
-def first_crossings(
-    series: SeriesOracle, indexer: IndexerStem, thresholds: Sequence[float], *,
-    strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
-) -> list[int]:
-    """In one scan of [start_pos, end_pos], the first position whose norm
-    passes thresholds[0] (> t + DELTA if strict, else >= t), then the first
-    one after it passing thresholds[1], and so on; the list ends at the
-    first threshold not passed."""
-    if not thresholds:
-        return []
-    return crossing_scan(
-        series, indexer, thresholds, strict=strict, start_pos=start_pos, end_pos=end_pos
-    ).positions
-
-
-def first_crossing(
-    series: SeriesOracle, indexer: IndexerStem, threshold: float, *,
-    strict: bool, start_pos: int = 1, end_pos: int | None = None,
-) -> int | None:
-    """First position in [start_pos, end_pos] whose partial-sum norm passes
-    the threshold as in first_crossings, or None."""
-    found = first_crossings(
-        series, indexer, [threshold], strict=strict, start_pos=start_pos, end_pos=end_pos
-    )
-    return found[0] if found else None
-
-
-def max_norm(
-    series: SeriesOracle,
-    indexer: IndexerStem,
-    start_pos: int = 1,
-    end_pos: int | None = None,
-) -> float:
-    """Largest partial-sum norm over positions start_pos..end_pos, 0.0 if none."""
-    return crossing_scan(
-        series, indexer, (), start_pos=start_pos, end_pos=end_pos, peak_from=start_pos
-    ).peak
-
-
 def prefix_norms(
     series: SeriesOracle, indexer: IndexerStem, horizon: int
 ) -> np.ndarray:
@@ -528,10 +446,4 @@ def partial_sums(
         raise HorizonExceedsStem(
             f"horizon {horizon} exceeds stem length {len(indexer)}"
         )
-    return PartialSumTrace(
-        series_name=series.name,
-        kind=stem_kind(indexer),
-        stem=indexer,
-        positions=np.arange(1, horizon + 1, dtype=np.int64),
-        norms=prefix_norms(series, indexer, horizon),
-    )
+    return PartialSumTrace(prefix_norms(series, indexer, horizon))

@@ -200,7 +200,7 @@ class _RunStem:
             if taken >= limit:
                 break
             take = min(run.count, limit - taken)
-            parts.append(run.head(take).to_numpy())
+            parts.append((run if take == run.count else run.head(take)).to_numpy())
             taken += take
         if not parts:
             return np.empty(0, dtype=np.int64)
@@ -215,7 +215,7 @@ class _RunStem:
             if left == 0:
                 break
             take = min(run.count, left)
-            out.append(run.head(take))
+            out.append(run if take == run.count else run.head(take))
             left -= take
         return tuple(out)
 

@@ -20,9 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ideals import TalagrandSequence, interval
-from .series import (
-    _BLOCK, SeriesOracle, catalog_series, crossing_scan, first_crossings, norms_at,
-)
+from .series import _BLOCK, SeriesOracle, catalog_series, crossing_scan, norms_at
 from .spaces import DELTA
 from .stems import (
     IndexerStem,
@@ -267,6 +265,28 @@ def _validate_prior_checkpoints(
             )
 
 
+def _escape(
+    series: SeriesOracle, construction: str, base: IndexerStem, stream: IndexerStem,
+    tail_start: int, scan_end: int, level: float, *,
+    strict: bool = True, start_pos: int = 1, reason: str | None = None,
+) -> tuple[IndexerStem, int, float]:
+    """Continue the base stem with the stream's positions tail_start..scan_end
+    and find the first position from start_pos whose partial-sum norm
+    passes level (> level + DELTA if strict, else >= level).
+
+    Returns (candidate, that position, its norm).  A scan that comes up
+    short raises ScanExhausted at scan_end with the largest norm it read
+    from position 1."""
+    candidate = base.concat_runs(stream.slice_runs(tail_start, scan_end))
+    scan = crossing_scan(
+        series, candidate, [float(level)], strict=strict, start_pos=start_pos, peak_from=1
+    )
+    if not scan.positions:
+        reason = reason or f"no partial sum above {level:g}"
+        raise ScanExhausted(construction, reason, scan_end, best=scan.peak)
+    return candidate, scan.positions[0], scan.values[0]
+
+
 # ---------------------------------------------------------------------------
 # brute-force pattern oracle
 
@@ -438,7 +458,7 @@ def derive_depth_checkpoints(
     horizon = _horizon(series, scan_horizon)
     limit = min(len(stem), horizon)
     levels = [float(level) for level in range(1, depth + 1)]
-    positions = first_crossings(series, stem, levels, end_pos=limit)
+    positions = crossing_scan(series, stem, levels, end_pos=limit).positions
     if len(positions) < depth:
         raise ScanExhausted(
             "depth-checkpoints",
@@ -484,36 +504,27 @@ def subseries_to_rearrangement(
     raw: list[tuple[int, float, str]] = []
     values: list[float] = []
     boundaries: list[int] = []
+    scan_end = min(len(stem), horizon)
     for level in range(1, depth + 1):
         k_prev = len(q)
         tail_start = stem.first_position_above(k_prev)
         if tail_start is None:
             raise ScanExhausted(
-                "rearrangement",
-                f"input stem exhausted before stage {level}",
-                min(len(stem), horizon),
+                "rearrangement", f"input stem exhausted before stage {level}", scan_end
             )
-        scan_end = min(len(stem), horizon)
         if tail_start > scan_end:
             raise ScanExhausted(
                 "rearrangement",
                 f"stage {level} tail starts past the scan horizon",
                 scan_end,
             )
-        candidate = q.concat_runs(stem.slice_runs(tail_start, scan_end))
-        scan = crossing_scan(
-            series, candidate, [float(level)], start_pos=k_prev + 1, peak_from=1
+        candidate, position, value = _escape(
+            series, "rearrangement", q, stem, tail_start, scan_end, level,
+            strict=False, start_pos=k_prev + 1,
+            reason=f"stage {level} never crossed {level}",
         )
-        if not scan.positions:
-            raise ScanExhausted(
-                "rearrangement",
-                f"stage {level} never crossed {level}",
-                scan_end,
-                best=scan.peak,
-            )
-        position = scan.positions[0]
         raw.append((position, float(level), ">="))
-        values.append(scan.values[0])
+        values.append(value)
         q = extend_to_prefix_bijection(candidate.prefix(position))
         boundaries.append(len(q))
     return WitnessCertificate(
@@ -536,7 +547,6 @@ def nowhere_dense_witness_subseq(
     m: float,
     base: SubseqStem,
     scan_horizon: int | None = None,
-    s_prime_checkpoints: Sequence[tuple[int, float]] = (),
 ) -> WitnessCertificate:
     """Escape witness: extend the open set's stem with the tail of an
     unbounded subseries until one partial sum passes m.
@@ -546,9 +556,6 @@ def nowhere_dense_witness_subseq(
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
     horizon = _horizon(series, scan_horizon)
-    _validate_prior_checkpoints(
-        series, s_prime, s_prime_checkpoints, "unboundedness witness"
-    )
     k = len(base)
     last = base.value_at(k) if k else 0
     tail_start = s_prime.first_position_above(last)
@@ -559,23 +566,14 @@ def nowhere_dense_witness_subseq(
             len(s_prime),
         )
     scan_end = min(len(s_prime), tail_start + horizon - 1)
-    candidate = base.concat_runs(s_prime.slice_runs(tail_start, scan_end))
-    scan = crossing_scan(series, candidate, [float(m)], strict=True, peak_from=1)
-    if not scan.positions:
-        raise ScanExhausted(
-            "nowhere-dense-subseq",
-            f"no partial sum above {m:g}",
-            scan_end,
-            best=scan.peak,
-        )
-    position = scan.positions[0]
-    keep = max(position, k + 1)
-    witness = candidate.prefix(keep)
+    candidate, position, value = _escape(
+        series, "nowhere-dense-subseq", base, s_prime, tail_start, scan_end, m
+    )
     return WitnessCertificate(
         construction="nowhere-dense-subseq",
         series_name=series.name,
-        stem=witness,
-        checkpoints=_checked_checkpoints([(position, float(m), ">")], scan.values),
+        stem=candidate.prefix(max(position, k + 1)),
+        checkpoints=_checked_checkpoints([(position, float(m), ">")], [value]),
         base=base,
         details=(("m", float(m)), ("tail-start", tail_start)),
     )
@@ -614,23 +612,15 @@ def nowhere_dense_witness_rearr(
             "nowhere-dense-rearr", "p' ends at the covering point", len(p_prime)
         )
     scan_end = min(len(p_prime), tail_start + horizon - 1)
-    candidate = base.concat_runs(p_prime.slice_runs(tail_start, scan_end))
-    scan = crossing_scan(series, candidate, [float(m)], strict=True, peak_from=1)
-    if not scan.positions:
-        raise ScanExhausted(
-            "nowhere-dense-rearr",
-            f"no partial sum above {m:g}",
-            scan_end,
-            best=scan.peak,
-        )
-    position = scan.positions[0]
-    keep = max(position, len(base) + 1)
-    witness = extend_to_prefix_bijection(candidate.prefix(keep))
+    candidate, position, value = _escape(
+        series, "nowhere-dense-rearr", base, p_prime, tail_start, scan_end, m
+    )
+    witness = extend_to_prefix_bijection(candidate.prefix(max(position, len(base) + 1)))
     return WitnessCertificate(
         construction="nowhere-dense-rearr",
         series_name=series.name,
         stem=witness,
-        checkpoints=_checked_checkpoints([(position, float(m), ">")], scan.values),
+        checkpoints=_checked_checkpoints([(position, float(m), ">")], [value]),
         base=base,
         stage_boundaries=(len(witness),),
         details=(("m", float(m)), ("tail-start", tail_start)),
@@ -737,18 +727,25 @@ def _padding_block(
     )
 
 
-def _interval_certificate(
-    series: SeriesOracle,
-    stem: IndexerStem,
-    seq: TalagrandSequence,
-    k: int,
-    m: float,
-) -> tuple[tuple[Checkpoint, ...], tuple[int, int]]:
+def _interval_witness(
+    series: SeriesOracle, construction: str, stem: IndexerStem, base: IndexerStem,
+    seq: TalagrandSequence, k: int, m: int, details: tuple[tuple[str, int], ...],
+) -> WitnessCertificate:
+    """The certificate of a dense-open witness: every position of the
+    interval [n_k, n_{k+1}) checked > m on the stem."""
     window = interval(seq, k)
-    raw = [(j, float(m), ">") for j in window]
-    return (
-        _canonical_checkpoints(series, stem, raw),
-        (window.start, window.stop),
+    return WitnessCertificate(
+        construction=construction,
+        series_name=series.name,
+        stem=stem,
+        checkpoints=_canonical_checkpoints(
+            series, stem, [(j, float(m), ">") for j in window]
+        ),
+        base=base,
+        interval_index=k,
+        interval=(window.start, window.stop),
+        talagrand=seq,
+        details=details,
     )
 
 
@@ -759,7 +756,6 @@ def dense_open_witness_Bm(
     m: int,
     base: SubseqStem,
     scan_horizon: int | None = None,
-    u_checkpoints: Sequence[tuple[int, float]] = (),
 ) -> WitnessCertificate:
     """Dense-open containment witness for subseries.
 
@@ -774,40 +770,21 @@ def dense_open_witness_Bm(
             f"base stem length {r} must exceed m = {m}"
         )
     horizon = _horizon(series, scan_horizon)
-    _validate_prior_checkpoints(series, u, u_checkpoints, "unboundedness witness")
     if len(u) <= r:
         raise PreconditionViolation("u must continue past the base stem's length")
     if u.value_at(r + 1) <= base.value_at(r):
         raise PreconditionViolation(
             "u must pass the base stem: u(r+1) <= base's last entry"
         )
-    scan_end = min(len(u), horizon)
-    candidate = base.concat_runs(u.slice_runs(r + 1, scan_end))
-    scan = crossing_scan(
-        series, candidate, [float(m + 1)], strict=True, start_pos=r + 1, peak_from=1
+    candidate, l_r, _ = _escape(
+        series, "dense-open-Bm", base, u, r + 1, min(len(u), horizon), m + 1,
+        start_pos=r + 1, reason=f"no partial sum above {m + 1}",
     )
-    if not scan.positions:
-        raise ScanExhausted(
-            "dense-open-Bm",
-            f"no partial sum above {m + 1}",
-            scan_end,
-            best=scan.peak,
-        )
-    l_r = scan.positions[0]
     after = candidate.value_at(l_r)
     k, block = _padding_block(series, seq, "dense-open-Bm", m, l_r, after, horizon)
     stem = candidate.prefix(l_r).concat_runs(block.runs)
-    checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
-    return WitnessCertificate(
-        construction="dense-open-Bm",
-        series_name=series.name,
-        stem=stem,
-        checkpoints=checkpoints,
-        base=base,
-        interval_index=k,
-        interval=window,
-        talagrand=seq,
-        details=(("m", m), ("l_r", l_r)),
+    return _interval_witness(
+        series, "dense-open-Bm", stem, base, seq, k, m, (("m", m), ("l_r", l_r))
     )
 
 
@@ -842,19 +819,10 @@ def dense_open_witness_Cm(
         raise ScanExhausted(
             "dense-open-Cm", "t ends before the tail may start", len(t)
         )
-    scan_end = min(len(t), horizon)
-    candidate = base.concat_runs(t.slice_runs(tail_start, scan_end))
-    scan = crossing_scan(
-        series, candidate, [float(m + 1)], strict=True, start_pos=r + 1, peak_from=1
+    candidate, pos_mr, _ = _escape(
+        series, "dense-open-Cm", base, t, tail_start, min(len(t), horizon), m + 1,
+        start_pos=r + 1, reason=f"no partial sum above {m + 1}",
     )
-    if not scan.positions:
-        raise ScanExhausted(
-            "dense-open-Cm",
-            f"no partial sum above {m + 1}",
-            scan_end,
-            best=scan.peak,
-        )
-    pos_mr = scan.positions[0]
     m_r = tail_start + (pos_mr - r) - 1
     tail_values_max = max(
         run.max_value for run in candidate.slice_runs(r + 1, pos_mr)
@@ -862,22 +830,9 @@ def dense_open_witness_Cm(
     after = max(z, m_r, tail_values_max)
     k, block = _padding_block(series, seq, "dense-open-Cm", m, pos_mr, after, horizon)
     stem = candidate.prefix(pos_mr).concat_runs(block.runs)
-    checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
-    return WitnessCertificate(
-        construction="dense-open-Cm",
-        series_name=series.name,
-        stem=stem,
-        checkpoints=checkpoints,
-        base=base,
-        interval_index=k,
-        interval=window,
-        talagrand=seq,
-        details=(
-            ("m", m),
-            ("z", z),
-            ("tail-start", tail_start),
-            ("m_r", m_r),
-        ),
+    return _interval_witness(
+        series, "dense-open-Cm", stem, base, seq, k, m,
+        (("m", m), ("z", z), ("tail-start", tail_start), ("m_r", m_r)),
     )
 
 
@@ -888,7 +843,6 @@ def dense_open_witness_Am(
     m: int,
     base: SelectionStem = SelectionStem(),
     scan_horizon: int | None = None,
-    u_checkpoints: Sequence[tuple[int, float]] = (),
 ) -> WitnessCertificate:
     """Dense-open containment witness for 0-1 selections.
 
@@ -898,7 +852,6 @@ def dense_open_witness_Am(
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
     horizon = _horizon(series, scan_horizon)
-    _validate_prior_checkpoints(series, u, u_checkpoints, "unboundedness witness")
     # 0-padding freezes the running sum, so only the value after the whole
     # base word matters; interior crossings cannot be kept without
     # truncating the word the witness must extend.  At a 1 of the word the
@@ -934,17 +887,8 @@ def dense_open_witness_Am(
     word[: len(base)] = base.to_numpy()
     word[picks.to_numpy(position) - 1] = 1
     stem = SelectionStem(tuple(word.tolist()))
-    checkpoints, window = _interval_certificate(series, stem, seq, k, float(m))
-    return WitnessCertificate(
-        construction="dense-open-Am",
-        series_name=series.name,
-        stem=stem,
-        checkpoints=checkpoints,
-        base=base,
-        interval_index=k,
-        interval=window,
-        talagrand=seq,
-        details=(("m", m), ("crossing", cross_pos)),
+    return _interval_witness(
+        series, "dense-open-Am", stem, base, seq, k, m, (("m", m), ("crossing", cross_pos))
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ from serieswitness.certificates import (
     load_document,
     payload_without_timing,
 )
-from serieswitness.cli import main
-from serieswitness.runners import execute_config, resolve_config
+from serieswitness.cli import _build_parser, main
+from serieswitness.runners import PARAMS, execute_config, resolve_config
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -218,6 +219,12 @@ def _verdict(edit):
         (_drop_result("construction"), "'result.construction' is missing"),
         (_drop_result("series"), "'result.series' is missing"),
         (_drop_result("stem"), "'result.stem' is missing"),
+        (_set_result("stem", {"kind": "rearr", "segments": [[1, 1, 10**30]]}),
+         "'result.stem.segments[0]' is not three ints"),
+        (_set_result("stem", {"kind": "rearr", "segments": [[2, 2, 4], [1.5, 1, 3]]}),
+         "'result.stem.segments[1]' is not three ints"),
+        (_set_result("stem", {"kind": "rearr", "segments": [[True, 1, 3]]}),
+         "'result.stem.segments[0]' is not three ints"),
         (_set_result("checkpoints", None), "'result.checkpoints' is missing or not"),
         (_checkpoint("partial-sum", position=lambda p: True), "'result.checkpoints[0].position'"),
         (_checkpoint("partial-sum", bound=lambda b: float("inf")),
@@ -243,6 +250,7 @@ def _verdict(edit):
         (_verdict(lambda r: r.update(series=3)), "'result.series' is missing or not str"),
         (_verdict(lambda r: r.update(indexer={"kind": "selection"})), "'result.indexer' is"),
         (_verdict(lambda r: r.update(talagrand={"label": "x"})), "'result.talagrand' is"),
+        (_verdict(lambda r: r.update(talagrand=None)), "'result.talagrand' is missing or not dict"),
     ],
 )
 def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):
@@ -292,6 +300,18 @@ def test_verify_refuses_ill_typed_checkpoints(tmp_path, capsys, run, edit, named
     capsys.readouterr()
     assert run_cli(["verify", str(bad)]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_run_flags_are_the_registry_parameters():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        option[2:]
+        for action in commands.choices["run"]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert flags == set(PARAMS) | {"series", "construction", "out", "no-verify"}
 
 
 def test_env_horizon_override(tmp_path):

@@ -24,14 +24,7 @@ from serieswitness import (
     prefix_norms,
 )
 from serieswitness.ideals import interval
-from serieswitness.series import (
-    SeriesOracle,
-    _signs,
-    crossing_scan,
-    first_crossing,
-    first_crossings,
-    max_norm,
-)
+from serieswitness.series import SeriesOracle, _signs, crossing_scan
 from serieswitness.spaces import DELTA
 
 
@@ -43,7 +36,7 @@ def reference_exceedance(trace, bound, seq):
     """The per-interval loop that exceedance_report used to run."""
     horizon = trace.horizon
     mask = trace.norms > bound + DELTA
-    exceed = frozenset(int(p) for p in trace.positions[mask])
+    exceed = frozenset(int(p) + 1 for p in np.flatnonzero(mask))
     contained = []
     k = 1
     while True:
@@ -100,10 +93,7 @@ def test_exceedance_matches_per_interval_loop(above, seq, runs):
     above = above + [True] * (runs * 11)
     horizon = len(above)
     norms = np.where(np.array(above, dtype=bool), 2.0, 0.5)
-    trace = PartialSumTrace(
-        "test", "subseq", SubseqStem.identity(horizon),
-        np.arange(1, horizon + 1, dtype=np.int64), norms,
-    )
+    trace = PartialSumTrace(norms)
     report = exceedance_report(trace, 1.0, seq)
     assert (report.exceed_set, report.contained_intervals) == reference_exceedance(
         trace, 1.0, seq
@@ -152,6 +142,14 @@ def test_sup_norms_of_paired_coordinates(monkeypatch):
 # reductions
 
 
+def peak(series, stem, start, end):
+    """The largest norm over positions start..end: a crossing scan with no
+    thresholds reads the whole range."""
+    return crossing_scan(
+        series, stem, (), start_pos=start, end_pos=end, peak_from=start
+    ).peak
+
+
 @pytest.mark.parametrize("name", ["alt-harmonic", "growing-real", "decaying-signed-c0"])
 @pytest.mark.parametrize("kind", ["subseq", "rearr", "selection"])
 def test_reductions_match_a_scan_of_prefix_norms(name, kind):
@@ -161,17 +159,17 @@ def test_reductions_match_a_scan_of_prefix_norms(name, kind):
     norms = prefix_norms(series, stem, 200)
     for start, end in ((1, 200), (17, 150), (120, 119), (1, 1)):
         window = norms[start - 1:end]
-        assert max_norm(series, stem, start, end) == (
+        assert peak(series, stem, start, end) == (
             float(window.max()) if window.size else 0.0
         )
         for level in np.quantile(norms, [0.1, 0.5, 0.9, 1.0]):
             for strict in (True, False):
                 hits = window > level + DELTA if strict else window >= level
                 expected = start + int(np.argmax(hits)) if hits.any() else None
-                assert first_crossing(
-                    series, stem, float(level), strict=strict,
+                assert crossing_scan(
+                    series, stem, [float(level)], strict=strict,
                     start_pos=start, end_pos=end,
-                ) == expected
+                ).positions == ([] if expected is None else [expected])
                 # a failed search reads the whole range, so its peak is the
                 # maximum over [peak_from, end]; a passed one stops at the
                 # crossing.  peak_from = 1 is the escape searches' range,
@@ -196,13 +194,13 @@ def test_norms_at_across_scalar_chunks(monkeypatch):
     stem = SubseqStem.identity(100)
     norms = prefix_norms(series, stem, 100)
     assert np.array_equal(norms_at(series, stem, [100, 33, 1]), norms[[99, 32, 0]])
-    assert max_norm(series, stem, 20, 100) == float(norms[19:].max())
+    assert peak(series, stem, 20, 100) == float(norms[19:].max())
     scan = crossing_scan(series, stem, [10.0], start_pos=60, peak_from=20)
     assert scan == ([], float(norms[19:].max()), [])
     # crossings in two chunks carry the norms at their positions
     scan = crossing_scan(series, stem, [0.7, 0.7, 0.7], start_pos=60)
     assert scan == ([61, 63, 65], 0.0, norms[[60, 62, 64]].tolist())
-    assert first_crossing(series, stem, float(norms[60]), strict=False, start_pos=60) == 61
+    assert crossing_scan(series, stem, [float(norms[60])], start_pos=60).positions == [61]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +385,18 @@ def test_first_crossing_and_max_norm_in_the_second_block_of_the_second_chunk():
     threshold = (target + 1) // 2
     norms = reference_scalar_norms(series, stem, 1 << 21)
     seen.clear()
-    assert first_crossing(series, stem, float(threshold), strict=False) == target
+    assert crossing_scan(series, stem, [float(threshold)]).positions == [target]
     assert int(np.argmax(norms >= threshold)) + 1 == target
     # the scan stopped with the block that holds the crossing
     assert sum(seen) == (1 << 20) + 2 * block
-    assert first_crossing(series, stem, float(threshold), strict=True) == target + 2
+    assert crossing_scan(series, stem, [float(threshold)], strict=True).positions == [
+        target + 2
+    ]
     for start, end in ((1, 1 << 21), (target, target + 5), ((1 << 20) + 1, target)):
-        assert max_norm(series, stem, start, end) == float(norms[start - 1:end].max())
-    assert first_crossing(
-        series, stem, float(threshold), strict=True, start_pos=target, end_pos=target + 1
-    ) is None
+        assert peak(series, stem, start, end) == float(norms[start - 1:end].max())
+    assert crossing_scan(
+        series, stem, [float(threshold)], strict=True, start_pos=target, end_pos=target + 1
+    ).positions == []
 
 
 def test_first_crossings_walks_the_levels_in_one_scan():
@@ -406,8 +406,12 @@ def test_first_crossings_walks_the_levels_in_one_scan():
     # level is first reached at 2^21 + 13, past the end of the stem
     levels = [1.0, 3.0, 3.0, float((1 << 20) + 7)]
     seen.clear()
-    assert first_crossings(series, stem, levels) == [1, 5, 6]
+    assert crossing_scan(series, stem, levels).positions == [1, 5, 6]
     assert sum(seen) == 1 << 21
     seen.clear()
-    assert first_crossings(series, stem, levels[:3]) == [1, 5, 6]
+    assert crossing_scan(series, stem, levels[:3]).positions == [1, 5, 6]
     assert sum(seen) == series_module._BLOCK
+    # no levels and no peak asked for: nothing to read
+    seen.clear()
+    assert crossing_scan(series, stem, []) == ([], 0.0, [])
+    assert sum(seen) == 0

@@ -1,13 +1,10 @@
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serieswitness import (
-    GapInTrace,
     HorizonExceedsStem,
-    PartialSumTrace,
     SelectionStem,
     SubseqStem,
     catalog_series,
@@ -108,18 +105,6 @@ def test_exceedance_alt_harmonic_against_direct_sums(alt):
             expected_intervals.append(k)
         k += 1
     assert list(report.contained_intervals) == expected_intervals
-
-
-def test_exceedance_needs_contiguous_trace(alt):
-    gappy = PartialSumTrace(
-        series_name="alt-harmonic",
-        kind="subseq",
-        stem=SubseqStem.identity(4),
-        positions=np.array([1, 3]),
-        norms=np.array([1.0, 0.8]),
-    )
-    with pytest.raises(GapInTrace):
-        exceedance_report(gappy, 0.5, geometric_talagrand())
 
 
 def test_verdict_bounded(unit):

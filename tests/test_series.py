@@ -52,15 +52,15 @@ def test_catalog_metadata(alt, unit, growing, decaying):
 
 def test_partial_sums_first_two(alt):
     trace = partial_sums(alt, SubseqStem.from_values((1, 2)), 2)
-    assert trace.checkpoints == ((1, 1.0), (2, 0.5))
+    assert trace.norms.tolist() == [1.0, 0.5]
 
 
 def test_partial_sums_selection_unit_basis(unit):
     trace = partial_sums(unit, SelectionStem.from_word("10110"), 5)
     # once any term is selected, the sup norm is exactly 1
-    assert [v for _, v in trace.checkpoints] == [1.0, 1.0, 1.0, 1.0, 1.0]
+    assert trace.norms.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
     trace = partial_sums(unit, SelectionStem.from_word("00110"), 5)
-    assert [v for _, v in trace.checkpoints] == [0.0, 0.0, 1.0, 1.0, 1.0]
+    assert trace.norms.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_partial_sums_odd_indices_against_direct_summation(alt):
@@ -68,7 +68,7 @@ def test_partial_sums_odd_indices_against_direct_summation(alt):
     stem = SubseqStem.arithmetic(1, 2, K)
     trace = partial_sums(alt, stem, K)
     expected = math.fsum(1.0 / (2 * k - 1) for k in range(1, K + 1))
-    assert trace.checkpoints[-1][1] == pytest.approx(expected, abs=1e-9)
+    assert trace.norms[-1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_partial_sums_horizon_error(alt):
@@ -99,7 +99,7 @@ def test_vector_series_prefix_norms(decaying):
     # pairs cancel: after an even count of consecutive terms the sum of
     # each touched coordinate is 0 except the freshest one
     trace = partial_sums(decaying, SubseqStem.identity(6), 6)
-    values = [v for _, v in trace.checkpoints]
+    values = trace.norms.tolist()
     assert values == [1.0, 0.0, 0.5, 0.0, pytest.approx(1 / 3), 0.0]
 
 
@@ -112,9 +112,9 @@ def test_unit_basis_selection_norm_is_exactly_one(bits):
     try:
         first_one = bits.index(1)
     except ValueError:
-        assert all(v == 0.0 for _, v in trace.checkpoints)
+        assert all(v == 0.0 for v in trace.norms)
         return
-    for position, value in trace.checkpoints:
+    for position, value in enumerate(trace.norms, start=1):
         assert value == (1.0 if position > first_one else 0.0)
 
 
@@ -131,7 +131,7 @@ def test_prefix_consistency(stem, data):
     cut = data.draw(st.integers(1, len(stem)))
     small = partial_sums(alt, stem.prefix(cut), cut)
     big = partial_sums(alt, stem, len(stem))
-    assert big.checkpoints[:cut] == small.checkpoints
+    assert big.norms[:cut].tolist() == small.norms.tolist()
 
 
 @pytest.mark.parametrize("name", ["alt-harmonic", "unit-basis-c0"])

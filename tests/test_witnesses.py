@@ -645,3 +645,106 @@ def test_scanned_checkpoints_equal_a_fresh_recompute(name, exhausted):
         fresh = norms_at(series, cert.stem, positions).tolist()
         assert [cp.value.hex() for cp in cert.checkpoints] == [v.hex() for v in fresh]
     assert misses == exhausted
+
+
+# ---------------------------------------------------------------------------
+# every exhaustion of the stream continuations, pinned
+
+
+def _stream(series, horizon):
+    return provision_candidate_stream(series, horizon)
+
+
+_S, _R = SubseqStem.from_values, RearrStem.from_values
+
+# name -> (call on (alt-harmonic, growing-real), (construction, reason,
+# horizon, best.hex() or None))
+_EXHAUSTIONS = {
+    "nd-subseq-never-passes": (
+        lambda alt, growing: nowhere_dense_witness_subseq(alt, _S([1, 2, 3]), 1, _S([5])),
+        ("nowhere-dense-subseq", "the unbounded stem never passes the base stem", 3, None),
+    ),
+    "nd-subseq-no-sum-above": (
+        lambda alt, growing: nowhere_dense_witness_subseq(
+            alt, _stream(alt, 200), 5, _S([1]), 300),
+        ("nowhere-dense-subseq", "no partial sum above 5", 100, "0x1.97fbfc8b22486p+0"),
+    ),
+    "nd-rearr-never-covers": (
+        lambda alt, growing: nowhere_dense_witness_rearr(alt, _R([2, 1, 3]), 1, _R([5])),
+        ("nowhere-dense-rearr", "p' never covers the base stem's values", 3, None),
+    ),
+    "nd-rearr-ends-at-cover": (
+        lambda alt, growing: nowhere_dense_witness_rearr(alt, _R([2, 1, 3]), 1, _R([3])),
+        ("nowhere-dense-rearr", "p' ends at the covering point", 3, None),
+    ),
+    "nd-rearr-no-sum-above": (
+        lambda alt, growing: nowhere_dense_witness_rearr(
+            alt, rearrangement_pipeline(alt, 2, 2000).stem, 20, _R([3, 1]), 2000),
+        ("nowhere-dense-rearr", "no partial sum above 20", 1752, "0x1.bc0a0ffb9eb28p+0"),
+    ),
+    "bm-no-sum-above": (
+        lambda alt, growing: dense_open_witness_Bm(
+            alt, GEO, _stream(alt, 300), 3, _stream(alt, 300).prefix(4), 300),
+        ("dense-open-Bm", "no partial sum above 4", 150, "0x1.65d5e71b9059dp+1"),
+    ),
+    "bm-no-padding": (
+        lambda alt, growing: dense_open_witness_Bm(
+            growing, GEO, _stream(growing, 300), 1, _stream(growing, 300).prefix(2), 300),
+        ("dense-open-Bm", "no interval admits a small-norm padding block", 300, None),
+    ),
+    "cm-never-covers": (
+        lambda alt, growing: dense_open_witness_Cm(
+            alt, GEO, _R([1, 2, 3, 4, 5, 6]), 1, _R([9, 1])),
+        ("dense-open-Cm", "t never covers the base stem's values", 6, None),
+    ),
+    "cm-ends-before-tail": (
+        lambda alt, growing: dense_open_witness_Cm(alt, GEO, _R([2, 1, 3, 4]), 1, _R([4, 1])),
+        ("dense-open-Cm", "t ends before the tail may start", 4, None),
+    ),
+    "cm-no-sum-above": (
+        lambda alt, growing: dense_open_witness_Cm(
+            alt, GEO, rearrangement_pipeline(alt, 2, 2000).stem, 20,
+            _R(_stream(alt, 2000).to_numpy(21)), 2000),
+        ("dense-open-Cm", "no partial sum above 21", 1752, "0x1.b151a8e4b1c77p+1"),
+    ),
+    "am-never-passes": (
+        lambda alt, growing: dense_open_witness_Am(
+            alt, GEO, _S([1, 2]), 0, SelectionStem.from_word("000")),
+        ("dense-open-Am", "u never passes the initial word", 2, None),
+    ),
+    "am-no-sum-above": (
+        lambda alt, growing: dense_open_witness_Am(
+            alt, GEO, _stream(alt, 300), 5, SelectionStem.from_word("0110"), 300),
+        ("dense-open-Am", "no selection partial sum above 5", 300, "0x1.1b2b3c70e5af1p+1"),
+    ),
+    "rearr-stem-exhausted": (
+        lambda alt, growing: subseries_to_rearrangement(
+            growing, _S([2, 4]), [(1, 1.0), (2, 3.0)], 3),
+        ("rearrangement", "input stem exhausted before stage 3", 2, None),
+    ),
+    "rearr-tail-past-horizon": (
+        lambda alt, growing: subseries_to_rearrangement(
+            growing, _S([2, 4, 6, 8]), [(1, 1.0), (2, 3.0)], 3, 2),
+        ("rearrangement", "stage 3 tail starts past the scan horizon", 2, None),
+    ),
+    "rearr-never-crossed": (
+        lambda alt, growing: subseries_to_rearrangement(
+            alt, _stream(alt, 500), derive_depth_checkpoints(alt, _stream(alt, 500), 3, 500),
+            3, 500),
+        ("rearrangement", "stage 2 never crossed 2", 250, "0x1.5fc81b86cf5d8p+0"),
+    ),
+    "depth-never-reaches": (
+        lambda alt, growing: derive_depth_checkpoints(alt, _stream(alt, 500), 4, 500),
+        ("depth-checkpoints", "stem never reaches partial-sum norm 4", 250, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXHAUSTIONS))
+def test_library_exhaustions_are_pinned(alt, growing, name):
+    call, expected = _EXHAUSTIONS[name]
+    with pytest.raises(ScanExhausted) as info:
+        call(alt, growing)
+    exc = info.value
+    best = None if exc.best is None else exc.best.hex()
+    assert (exc.construction, exc.reason, exc.horizon, best) == expected
