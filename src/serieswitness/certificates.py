@@ -55,6 +55,11 @@ class DocumentError(ValueError):
 # stem serialization
 
 
+class _BadStemField(ValueError):
+    """A field of a stem document is out of shape.  args are its path below
+    the stem (`segments[i]`, `rle`) and what is wrong with it."""
+
+
 def _bits_to_rle(bits: np.ndarray | tuple[int, ...]) -> list[list[int]]:
     word = np.asarray(bits, dtype=np.int64)
     starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]]) if word.size else word
@@ -62,9 +67,19 @@ def _bits_to_rle(bits: np.ndarray | tuple[int, ...]) -> list[list[int]]:
     return np.column_stack((word[starts], counts)).tolist()
 
 
+# The longest 0-1 word a document may carry.  A word is expanded letter by
+# letter (an int64 array, then a tuple), so its length is checked against
+# this budget before anything of that length is allocated.
+_MAX_WORD_LETTERS = 1 << 26
+
+
 def _bits_from_rle(rle: list[list[int]]) -> tuple[int, ...]:
     pairs = np.array(rle, dtype=np.int64).reshape(len(rle), 2)
-    return tuple(np.repeat(pairs[:, 0], np.maximum(pairs[:, 1], 0)).tolist())
+    counts = np.maximum(pairs[:, 1], 0)
+    # each count is checked first, so the sum cannot wrap around
+    if counts.max(initial=0) > _MAX_WORD_LETTERS or counts.sum() > _MAX_WORD_LETTERS:
+        raise _BadStemField("rle", f"spells a word longer than {_MAX_WORD_LETTERS} letters")
+    return tuple(np.repeat(pairs[:, 0], counts).tolist())
 
 
 def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
@@ -77,13 +92,8 @@ def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
     }
 
 
-class _BadSegment(ValueError):
-    """A stem segment is not [start, step, count]: three ints (no bools), a
-    count >= 1, and first and last values inside int64.  args[0] is its
-    index in the segment list."""
-
-
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_SEGMENT = "is not three ints with a count >= 1 and first and last values inside int64"
 
 
 def stem_from_json(data: dict[str, Any]) -> IndexerStem:
@@ -94,11 +104,11 @@ def stem_from_json(data: dict[str, Any]) -> IndexerStem:
     for i, segment in enumerate(data["segments"]):
         if not (type(segment) is list and len(segment) == 3
                 and all(type(v) is int for v in segment)):
-            raise _BadSegment(i)
+            raise _BadStemField(f"segments[{i}]", _SEGMENT)
         start, step, count = segment
         last = start + (count - 1) * step
         if count < 1 or not all(_INT64_MIN <= v <= _INT64_MAX for v in (start, last)):
-            raise _BadSegment(i)
+            raise _BadStemField(f"segments[{i}]", _SEGMENT)
         runs.append(IndexRun(start, step, count))
     if kind == "subseq":
         return SubseqStem(runs)
@@ -229,11 +239,9 @@ def _decoded(name: str, decode, value: Any) -> Any:
         return decode(value)
     except DocumentError:
         raise
-    except _BadSegment as exc:
-        raise DocumentError(
-            f"document field 'result.{name}.segments[{exc.args[0]}]' is not three ints "
-            "with a count >= 1 and first and last values inside int64"
-        ) from None
+    except _BadStemField as exc:
+        path, what = exc.args
+        raise DocumentError(f"document field 'result.{name}.{path}' {what}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise DocumentError(

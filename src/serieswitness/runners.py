@@ -46,11 +46,6 @@ IDEALS = {"fin": fin_ideal, "density": density_ideal}
 # open set's base stem: a finite search came up short, so this is exhaustion.
 _TOO_FEW_CANDIDATES = "not enough candidate indices to seed the base stem"
 
-# The candidate stream of a stream-fed builder is first provisioned through
-# index _FIRST_BOUND, and each retry provisions _BOUND_GROWTH times further.
-_FIRST_BOUND = 1 << 16
-_BOUND_GROWTH = 8
-
 
 class Param(NamedTuple):
     """The type of a parameter, the same in every construction: int or float
@@ -145,44 +140,13 @@ def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
 # builders
 
 
-def _on_growing_stream(
-    series: SeriesOracle, horizon: int, build: Callable[[SubseqStem], Any]
-) -> Any:
-    """build(stream) on the candidate stream provisioned through a bound
-    that starts at _FIRST_BOUND and grows _BOUND_GROWTH-fold up to the
-    horizon; an attempt that ends in ScanExhausted is retried with the
-    next bound, and the one at the horizon re-raises.
-
-    The horizon bounds the search; it does not set its cost.  The result
-    is the one build(provision_candidate_stream(series, horizon)) gives:
-    - every construction reads its stream as a prefix, and the stream at a
-      smaller bound is a prefix of the stream at the horizon;
-    - so the first crossing inside that prefix is the first crossing in
-      the whole stream, and whatever is built from it is the same;
-    - len(stream) only bounds slices that a successful scan stops inside;
-    - no PreconditionViolation depends on the stream's length (the
-      builders turn a stream too short to seed a base into ScanExhausted);
-    - the last attempt is exactly the eager computation, so an exhaustion
-      keeps its reason, horizon and best norm.
-    """
-    bound = min(_FIRST_BOUND, horizon)
-    while True:
-        try:
-            return build(provision_candidate_stream(series, bound))
-        except ScanExhausted:
-            if bound >= horizon:
-                raise
-        bound = min(bound * _BOUND_GROWTH, horizon)
-
-
 def _grow(series, config, horizon):
     return grow_unbounded_subseries(series, float(config["target"]), horizon)
 
 
 def _rearrangement(series, config, horizon):
-    def attempt(stream):
-        return rearrangement_pipeline(series, config["depth"], horizon, stream=stream)
-    return _on_growing_stream(series, horizon, attempt)
+    stream = provision_candidate_stream(series, horizon)
+    return rearrangement_pipeline(series, config["depth"], horizon, stream=stream)
 
 
 def _limsup(series, config, horizon):
@@ -190,57 +154,44 @@ def _limsup(series, config, horizon):
 
 
 def _nowhere_dense_subseq(series, config, horizon):
+    stream = provision_candidate_stream(series, horizon)
     base = SubseqStem.from_values([1])
-
-    def attempt(stream):
-        return nowhere_dense_witness_subseq(series, stream, config["m"], base, horizon)
-    return _on_growing_stream(series, horizon, attempt)
+    return nowhere_dense_witness_subseq(series, stream, config["m"], base, horizon)
 
 
 def _nowhere_dense_rearr(series, config, horizon):
     m = config["m"]
-    base = RearrStem.from_values([1])
-
-    def attempt(stream):
-        p_prime = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
-        return nowhere_dense_witness_rearr(series, p_prime, m, base, horizon)
-    return _on_growing_stream(series, horizon, attempt)
+    stream = provision_candidate_stream(series, horizon)
+    p_prime = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
+    return nowhere_dense_witness_rearr(series, p_prime, m, RearrStem.from_values([1]), horizon)
 
 
 def _dense_open_bm(series, config, horizon):
     m = config["m"]
     seq = SEQUENCES[config["talagrand"]]()
-
-    def attempt(stream):
-        if len(stream) < m + 2:
-            raise ScanExhausted("dense-open-Bm", _TOO_FEW_CANDIDATES, horizon)
-        base = stream.prefix(m + 1)
-        return dense_open_witness_Bm(series, seq, stream, m, base, horizon)
-    return _on_growing_stream(series, horizon, attempt)
+    stream = provision_candidate_stream(series, horizon)
+    if len(stream) < m + 2:
+        raise ScanExhausted("dense-open-Bm", _TOO_FEW_CANDIDATES, horizon)
+    base = stream.prefix(m + 1)
+    return dense_open_witness_Bm(series, seq, stream, m, base, horizon)
 
 
 def _dense_open_cm(series, config, horizon):
     m = config["m"]
     seq = SEQUENCES[config["talagrand"]]()
     r = max(m + 1, 4)
-
-    def attempt(stream):
-        if len(stream) < r:
-            raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
-        base = RearrStem.from_values(stream.to_numpy(r))
-        t = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
-        return dense_open_witness_Cm(series, seq, t, m, base, horizon)
-    return _on_growing_stream(series, horizon, attempt)
+    stream = provision_candidate_stream(series, horizon)
+    if len(stream) < r:
+        raise ScanExhausted("dense-open-Cm", _TOO_FEW_CANDIDATES, horizon)
+    base = RearrStem.from_values(stream.to_numpy(r))
+    t = rearrangement_pipeline(series, m + 1, horizon, stream=stream).stem
+    return dense_open_witness_Cm(series, seq, t, m, base, horizon)
 
 
 def _dense_open_am(series, config, horizon):
     seq = SEQUENCES[config["talagrand"]]()
-
-    def attempt(stream):
-        return dense_open_witness_Am(
-            series, seq, stream, config["m"], SelectionStem(), horizon
-        )
-    return _on_growing_stream(series, horizon, attempt)
+    stream = provision_candidate_stream(series, horizon)
+    return dense_open_witness_Am(series, seq, stream, config["m"], SelectionStem(), horizon)
 
 
 def _i_bounded(series, config, horizon):

@@ -21,7 +21,7 @@ from .spaces import (
     real_line,
     sequence_space,
 )
-from .stems import IndexerStem, SelectionStem
+from .stems import IndexerStem, SelectionStem, SubseqStem
 
 __all__ = [
     "SeriesOracle",
@@ -62,6 +62,11 @@ class SeriesOracle:
     preconditions by the witness constructions: liminf_norm_zero says the
     term norms dip arbitrarily low, limsup_norm_infinite says they spike
     arbitrarily high.
+
+    `candidates(horizon)` is the candidate stream the growth constructions
+    read: the indices up to the horizon of the positive terms (all of them
+    on the real line, those on coordinate 1 in sequence space), declared as
+    an increasing stem of runs, so no term is evaluated to list them.
     """
 
     name: str
@@ -70,6 +75,7 @@ class SeriesOracle:
     liminf_norm_zero: bool
     limsup_norm_infinite: bool
     rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    candidates: Callable[[int], SubseqStem] = field(repr=False)
 
     @property
     def is_scalar(self) -> bool:
@@ -112,6 +118,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
         rule=lambda n: (_on_line(n), _signs(n) / n),
+        candidates=lambda h: SubseqStem.arithmetic(2, 2, h // 2),
     ),
     "unit-basis-c0": SeriesOracle(
         name="unit-basis-c0",
@@ -123,6 +130,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         liminf_norm_zero=False,
         limsup_norm_infinite=False,
         rule=lambda n: (n, np.ones(n.shape)),
+        candidates=lambda h: SubseqStem.arithmetic(1, 1, min(h, 1)),
     ),
     "decaying-signed-c0": SeriesOracle(
         name="decaying-signed-c0",
@@ -131,6 +139,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
         rule=_decaying_signed,
+        candidates=lambda h: SubseqStem.arithmetic(2, 1, int(h >= 2)),
     ),
     "growing-real": SeriesOracle(
         name="growing-real",
@@ -139,6 +148,7 @@ _CATALOG: dict[str, SeriesOracle] = {
         liminf_norm_zero=False,
         limsup_norm_infinite=True,
         rule=lambda n: (_on_line(n), _signs(n) * n),
+        candidates=lambda h: SubseqStem.arithmetic(2, 2, h // 2),
     ),
 }
 
@@ -169,22 +179,28 @@ class PartialSumTrace:
 
 def _index_chunks(
     indexer: IndexerStem, horizon: int
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """(series indices, selection bits or None) of positions 1..horizon,
-    chunk by chunk; a selection stem weights term i by its i-th bit."""
+) -> Iterator[tuple[int, int, int, np.ndarray | None]]:
+    """(first index, step, count, selection bits or None) of positions
+    1..horizon, chunk by chunk: each chunk is an arithmetic run of at most
+    _CHUNK series indices, made into an array only where it is summed.  A
+    run of the stem gives its own chunks; a selection stem weights term i
+    by its i-th bit."""
     if isinstance(indexer, SelectionStem):
         bits = indexer.to_numpy()[:horizon]
         for lo in range(0, bits.size, _CHUNK):
-            hi = min(bits.size, lo + _CHUNK)
-            yield np.arange(lo + 1, hi + 1, dtype=np.int64), bits[lo:hi]
-    else:
-        produced = 0
-        for chunk in indexer.iter_chunks(_CHUNK):
-            if produced >= horizon:
-                break
-            take = min(chunk.size, horizon - produced)
-            yield chunk[:take], None
-            produced += take
+            yield lo + 1, 1, min(_CHUNK, bits.size - lo), bits[lo:lo + _CHUNK]
+        return
+    left = horizon
+    for run in indexer.runs:
+        if left <= 0:
+            break
+        for lo in range(0, min(run.count, left), _CHUNK):
+            yield run.value_at(lo), run.step, min(_CHUNK, run.count - lo, left - lo), None
+        left -= run.count
+
+
+def _indices(first: int, step: int, count: int) -> np.ndarray:
+    return np.arange(first, first + count * step, step, dtype=np.int64)
 
 
 def _weighted(coeffs: np.ndarray, bits: np.ndarray | None) -> np.ndarray:
@@ -265,18 +281,21 @@ def _sup_chunk(
 
 
 def _packed_norms(
-    series: SeriesOracle, pieces: list[np.ndarray], running: float
+    series: SeriesOracle, pieces: list[tuple[int, int, int]], running: float
 ) -> tuple[np.ndarray, float]:
-    """Norms over consecutive chunks of a run stem in one block, and the
-    running sum after them: one term-rule call for all of them, with each
-    chunk's arithmetic the same as on its own.  The in-chunk sums are one
-    cumsum along the rows of a zero-padded (chunks x longest) array, the
-    chunk-start sums one cumsum over [running, chunk totals...], and each
-    value is start + in-chunk sum."""
-    counts = np.array([piece.size for piece in pieces])
-    inside = np.arange(counts.max()) < counts[:, None]
+    """Norms over consecutive chunks (first, step, count) of a run stem in
+    one block, and the running sum after them: one term-rule call for all
+    of them, with each chunk's arithmetic the same as on its own.  The
+    indices are made straight from the triples as one (chunks x longest)
+    array, whose padding is never evaluated.  The in-chunk sums are one
+    cumsum along its rows with the padding at zero, the chunk-start sums
+    one cumsum over [running, chunk totals...], and each value is start +
+    in-chunk sum."""
+    firsts, steps, counts = np.array(pieces, dtype=np.int64).T
+    offsets = np.arange(counts.max())
+    inside = offsets < counts[:, None]
     terms = np.zeros(inside.shape)
-    terms[inside] = series.columns(np.concatenate(pieces))[1]
+    terms[inside] = series.columns((firsts[:, None] + steps[:, None] * offsets)[inside])[1]
     sums = np.cumsum(terms, axis=1)
     starts = np.cumsum(np.r_[running, sums[np.arange(counts.size), counts - 1]])
     sums += starts[:-1, None]
@@ -291,33 +310,36 @@ def _norm_chunks(
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
     of the arithmetic that norms_at and crossing_scan share.  A long chunk is
-    evaluated in blocks of _BLOCK terms, each block's cumsum starting from
-    the in-chunk sum so far: the values stay the same bit for bit, the
-    temporaries stay in cache, and a scan can stop inside a chunk.  Short
-    chunks of a run stem are packed into one block while (chunks x longest
-    chunk) stays within _BLOCK (see _packed_norms), with the same values."""
+    evaluated in blocks of _BLOCK terms, each block making only its own
+    indices, and each block's cumsum starting from the in-chunk sum so far:
+    the values stay the same bit for bit, the temporaries stay in cache,
+    and a scan that stops inside a chunk has paid for no more than its
+    blocks.  Short chunks of a run stem are packed into one block while
+    (chunks x longest chunk) stays within _BLOCK (see _packed_norms), with
+    the same values."""
     running = 0.0
     keys, held = np.empty(0, dtype=np.int64), np.empty(0)
-    packed: list[np.ndarray] = []
+    packed: list[tuple[int, int, int]] = []
     width = 0
-    for indices, bits in _index_chunks(indexer, horizon):
+    for first, step, count, bits in _index_chunks(indexer, horizon):
         if not series.is_scalar:
-            coords, coeffs = series.columns(indices)
+            coords, coeffs = series.columns(_indices(first, step, count))
             norms, keys, held = _sup_chunk(coords, _weighted(coeffs, bits), keys, held)
             yield norms
             continue
-        if packed and (len(packed) + 1) * max(width, indices.size) > _BLOCK:
+        if packed and (len(packed) + 1) * max(width, count) > _BLOCK:
             norms, running = _packed_norms(series, packed, running)
             yield norms
             packed, width = [], 0
-        if bits is None and indices.size <= _BLOCK:
-            packed.append(indices)
-            width = max(width, indices.size)
+        if bits is None and count <= _BLOCK:
+            packed.append((first, step, count))
+            width = max(width, count)
             continue
-        for lo in range(0, indices.size, _BLOCK):
-            hi = lo + _BLOCK
+        for lo in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - lo)
             terms = _weighted(
-                series.columns(indices[lo:hi])[1], None if bits is None else bits[lo:hi]
+                series.columns(_indices(first + lo * step, step, n))[1],
+                None if bits is None else bits[lo:lo + n],
             )
             csum = np.cumsum(np.concatenate(([carry], terms)))[1:] if lo else np.cumsum(terms)
             carry = csum[-1]
@@ -426,10 +448,13 @@ def crossing_scan(
 def prefix_norms(
     series: SeriesOracle, indexer: IndexerStem, horizon: int
 ) -> np.ndarray:
-    """Norms at every position 1..horizon."""
-    if horizon == 0:
-        return np.empty(0, dtype=np.float64)
-    return norms_at(series, indexer, np.arange(1, horizon + 1, dtype=np.int64))
+    """Norms at every position 1..horizon: the engine's pieces in order."""
+    norms = np.concatenate([np.empty(0), *_norm_chunks(series, indexer, horizon)])
+    if norms.size < horizon:
+        raise HorizonExceedsStem(
+            f"stem of length {norms.size} cannot reach position {norms.size + 1}"
+        )
+    return norms
 
 
 def partial_sums(

@@ -14,8 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_CHUNK = 1 << 20
-
 
 @dataclass(frozen=True)
 class IndexRun:
@@ -180,18 +178,6 @@ class _RunStem:
             offset -= run.count
         raise IndexError(position)
 
-    def iter_chunks(self, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-        for run in self.runs:
-            if run.count <= chunk:
-                yield run.to_numpy()
-                continue
-            for lo in range(0, run.count, chunk):
-                n = min(chunk, run.count - lo)
-                first = run.value_at(lo)
-                yield np.arange(
-                    first, first + n * run.step, run.step, dtype=np.int64
-                )
-
     def to_numpy(self, limit: int | None = None) -> np.ndarray:
         limit = len(self) if limit is None else min(limit, len(self))
         parts: list[np.ndarray] = []
@@ -297,9 +283,11 @@ class SubseqStem(_RunStem):
 
     @classmethod
     def arithmetic(cls, start: int, step: int, count: int) -> "SubseqStem":
+        """start, start + step, ... (count values); a single value is stored
+        with step 1, as compress_values stores it."""
         if count == 0:
             return cls(())
-        return cls((IndexRun(start, step, count),))
+        return cls((IndexRun(start, step if count > 1 else 1, count),))
 
     def first_position_above(self, bound: int) -> int | None:
         """Smallest 1-based position whose value exceeds `bound`."""

@@ -350,20 +350,6 @@ def _threshold_chain(b: float, target: float) -> list[float]:
     return chain
 
 
-def _candidate_chunks(series: SeriesOracle, horizon: int):
-    """(first index, coefficients, candidate mask) of 1..horizon, one engine
-    block of indices at a time.  The candidates are the positive terms: on
-    the real line all of them, in sequence space those feeding coordinate 1;
-    the candidate indices of a block are np.flatnonzero(mask) + first."""
-    for lo in range(1, horizon + 1, _BLOCK):
-        idx = np.arange(lo, min(horizon, lo + _BLOCK - 1) + 1, dtype=np.int64)
-        coords, coeffs = series.columns(idx)
-        mask = coeffs > 0
-        if not series.is_scalar:
-            mask &= coords == 1
-        yield lo, coeffs, mask
-
-
 def grow_unbounded_subseries(
     series: SeriesOracle,
     target: float = 1.0,
@@ -372,11 +358,12 @@ def grow_unbounded_subseries(
     """Strictly increasing stem whose partial-sum norms climb past the
     target, with a doubling chain of certified thresholds along the way.
 
-    The candidates are the positive terms: all of them on the real line
-    ("greedy-positive"), those on coordinate 1 in sequence space
-    ("per-coordinate").  Starting from the first candidate, with norm b,
-    checkpoints are recorded as the running norm first reaches b, 2b, 4b,
-    ... with the final threshold capped at the target (strict crossing).
+    The candidates are the series' candidate stream: the positive terms,
+    all of them on the real line ("greedy-positive"), those on coordinate 1
+    in sequence space ("per-coordinate").  Starting from the first
+    candidate, with norm b, checkpoints are recorded as the running norm
+    first reaches b, 2b, 4b, ... with the final threshold capped at the
+    target (strict crossing).
     Exhaustion of the candidates before the target signals that the series
     may admit one bound for all selections.
     """
@@ -384,17 +371,19 @@ def grow_unbounded_subseries(
         raise PreconditionViolation("target must be positive")
     horizon = _horizon(series, search_horizon)
     # Every candidate feeds one coordinate with one sign, so the running
-    # norm along them is |running sum| and climbs monotonically.
-    collected: list[np.ndarray] = []
+    # norm along them is |running sum| and climbs monotonically.  The sum is
+    # taken window by window, over the candidates among _BLOCK consecutive
+    # series indices.
+    stream = provision_candidate_stream(series, horizon)
     raw: list[tuple[int, float, str]] = []
     running = 0.0
     count = 0
     pending: list[float] | None = None
-    for lo, coeffs, mask in _candidate_chunks(series, horizon):
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask) + lo
-        csum = np.cumsum(coeffs[mask])
+    while count < len(stream):
+        lo = (stream.value_at(count + 1) - 1) // _BLOCK * _BLOCK
+        end = stream.first_position_above(lo + _BLOCK) or len(stream) + 1
+        idx = np.concatenate([run.to_numpy() for run in stream.slice_runs(count + 1, end - 1)])
+        csum = np.cumsum(series.columns(idx)[1])
         values = np.abs(running + csum)
         if pending is None:
             b = float(values[0])
@@ -419,8 +408,7 @@ def grow_unbounded_subseries(
             if not pending:
                 done_at = i
         if done_at is not None:
-            collected.append(idx[: done_at + 1])
-            stem = SubseqStem.from_values(np.concatenate(collected))
+            stem = SubseqStem.from_values(stream.to_numpy(count + done_at + 1))
             if series.is_scalar:
                 strategy = (("strategy", "greedy-positive"),)
             else:
@@ -432,7 +420,6 @@ def grow_unbounded_subseries(
                 checkpoints=_canonical_checkpoints(series, stem, raw),
                 details=(("target", float(target)),) + strategy,
             )
-        collected.append(idx)
         running = float(running + csum[-1])
         count += idx.size
     raise ScanExhausted(
@@ -975,11 +962,10 @@ def provision_candidate_stream(
     series: SeriesOracle, horizon: int | None = None
 ) -> SubseqStem:
     """All growth candidates up to the horizon (see grow_unbounded_subseries),
-    as an increasing stem.  This is the raw material handed to the
-    constructions that consume an unbounded subseries."""
-    horizon = _horizon(series, horizon)
-    parts = [np.flatnonzero(mask) + lo for lo, _, mask in _candidate_chunks(series, horizon)]
-    return SubseqStem.from_values(np.concatenate(parts)) if parts else SubseqStem(())
+    as the increasing stem the catalog declares (SeriesOracle.candidates).
+    This is the raw material handed to the constructions that consume an
+    unbounded subseries."""
+    return series.candidates(_horizon(series, horizon))
 
 
 def rearrangement_pipeline(

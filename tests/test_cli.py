@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from serieswitness.certificates import (
+    DocumentError,
     document_for_verdict,
     load_document,
     payload_without_timing,
+    verify_document,
 )
 from serieswitness.cli import _build_parser, main
 from serieswitness.runners import PARAMS, execute_config, resolve_config
@@ -251,6 +254,10 @@ def _verdict(edit):
         (_verdict(lambda r: r.update(indexer={"kind": "selection"})), "'result.indexer' is"),
         (_verdict(lambda r: r.update(talagrand={"label": "x"})), "'result.talagrand' is"),
         (_verdict(lambda r: r.update(talagrand=None)), "'result.talagrand' is missing or not dict"),
+        # no count passes the letter budget, but their sum does
+        (_verdict(lambda r: r.update(indexer={"kind": "selection",
+                                              "rle": [[1, 2**25], [0, 2**25], [1, 1]]})),
+         "'result.indexer.rle' spells a word longer than"),
     ],
 )
 def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):
@@ -413,6 +420,44 @@ def test_run_then_verify_matrix(tmp_path, flags, expected):
     out = tmp_path / "doc.json"
     code = run_cli(["run", *flags, "--out", str(out)])
     assert code == expected
+    assert run_cli(["verify", str(out)]) == 0
+
+
+def test_verify_refuses_a_word_past_the_letter_budget(tmp_path, capsys):
+    doc = _verdict(lambda r: r.update(indexer={"kind": "selection", "rle": [[1, 10**12]]}))({})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(["verify", str(bad)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert "document field 'result.indexer.rle' spells a word longer than" in err
+    assert peak < 64 * 2**20
+    with pytest.raises(DocumentError, match=r"'result\.indexer\.rle'"):
+        verify_document(doc)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--construction", "rearrangement", "--depth", "1"],
+        ["--construction", "dense-open-bm", "--m", "2"],
+        ["--construction", "grow-subseries", "--target", "2"],
+    ],
+)
+def test_a_horizon_of_10_to_the_12_bounds_the_search(tmp_path, flags):
+    # the declared candidate stream costs nothing to provision to any
+    # horizon, and the scans stop at their crossings
+    out = tmp_path / "doc.json"
+    horizon = str(10**12)
+    assert run_cli(["run", "--series", "alt-harmonic", *flags, "--horizon", horizon,
+                    "--out", str(out)]) == 0
     assert run_cli(["verify", str(out)]) == 0
 
 

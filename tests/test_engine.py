@@ -1,7 +1,9 @@
 """The single partial-sum engine against the per-term and per-interval
 reference code it replaced; the references stay here."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from serieswitness import (
     prefix_norms,
 )
 from serieswitness.ideals import interval
-from serieswitness.series import SeriesOracle, _signs, crossing_scan
+from serieswitness.series import _signs, crossing_scan
 from serieswitness.spaces import DELTA
 
 
@@ -239,7 +241,10 @@ def reference_scalar_norms(series, stem, horizon, chunk=1 << 20):
             for lo in range(0, bits.size, chunk)
         ]
     else:
-        chunks = [(part, None) for part in stem.iter_chunks(chunk)]
+        chunks = [
+            (run.to_numpy()[lo:lo + chunk], None)
+            for run in stem.runs for lo in range(0, run.count, chunk)
+        ]
     running, out, produced = 0.0, [], 0
     for part, weights in chunks:
         part = part[:horizon - produced]
@@ -371,8 +376,7 @@ def counting(series):
         seen.append(n.size)
         return series.rule(n)
 
-    return SeriesOracle(series.name, series.space, series.description,
-                        series.liminf_norm_zero, series.limsup_norm_infinite, rule), seen
+    return dataclasses.replace(series, rule=rule), seen
 
 
 def test_first_crossing_and_max_norm_in_the_second_block_of_the_second_chunk():
@@ -415,3 +419,43 @@ def test_first_crossings_walks_the_levels_in_one_scan():
     seen.clear()
     assert crossing_scan(series, stem, []) == ([], 0.0, [])
     assert sum(seen) == 0
+
+
+# ---------------------------------------------------------------------------
+# indices made block by block
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "decaying-signed-c0"])
+@pytest.mark.parametrize("kind", ["selection", "subseq", "rearr"])
+def test_prefix_norms_equal_norms_at(name, kind):
+    # horizons off the block grid, on a 0-1 word, on one long run, and on
+    # long runs after a few hundred short ones
+    series = catalog_series(name)
+    block = series_module._BLOCK
+    rng = np.random.default_rng(11)
+    if kind == "selection":
+        stem = SelectionStem(tuple(rng.integers(0, 2, 3 * block + 17).tolist()))
+    elif kind == "subseq":
+        stem = SubseqStem.identity(3 * block + 17)
+    else:
+        short = RearrStem.from_values(rng.choice(np.arange(1, 1_000), 400, replace=False))
+        stem = short.concat_runs((IndexRun(1_000, 2, block + 9), IndexRun(1_001, 2, 2 * block)))
+    for horizon in (1, block - 1, block + 1, 2 * block + 5, len(stem)):
+        got = prefix_norms(series, stem, horizon)
+        assert_bitwise_equal(got, norms_at(series, stem, np.arange(1, horizon + 1)))
+
+
+def test_an_early_stop_on_a_long_run_makes_only_its_blocks_indices():
+    # the declared stream of alt-harmonic at 3e6 is one run of 1.5e6 evens;
+    # the first partial sum, 1/2, already crosses
+    series = catalog_series("alt-harmonic")
+    stem = SubseqStem.arithmetic(2, 2, 1_500_000)
+    tracemalloc.start()
+    try:
+        scan = crossing_scan(series, stem, [0.5])
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.positions == [1]
+    # an index array of a whole 2^20-term chunk is 8 MiB
+    assert peak_bytes < 8 * series_module._CHUNK // 4

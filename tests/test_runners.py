@@ -1,6 +1,8 @@
-"""The registry's stream-fed builders provision the candidate stream in
-growing bounds; their payloads must equal those of one eager provisioning
-to the horizon, exhaustions included.  The work the cells do is pinned."""
+"""The catalog declares each series' candidate stream; it must equal the
+stream read off the term rule, and so must every payload built on it,
+exhaustions included.  The work the cells do is pinned."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ from serieswitness.certificates import (
     payload_without_timing,
 )
 from serieswitness.runners import execute_config, resolve_config
-from serieswitness.series import SeriesOracle, catalog_series
+from serieswitness.series import catalog_names, catalog_series
+from serieswitness.spaces import DELTA
 from serieswitness.stems import SubseqStem
 from serieswitness.witnesses import (
     ScanExhausted,
+    _threshold_chain,
+    grow_unbounded_subseries,
     nowhere_dense_witness_subseq,
     provision_candidate_stream,
 )
@@ -40,69 +45,93 @@ def _payload(config):
     return payload_without_timing(document_for_certificate(cert, config))
 
 
-@pytest.fixture
-def bounds(monkeypatch):
-    """The bounds the builders provision the candidate stream through."""
-    seen = []
-    provision = runners.provision_candidate_stream
-
-    def counting(series, bound):
-        seen.append(bound)
-        return provision(series, bound)
-
-    monkeypatch.setattr(runners, "provision_candidate_stream", counting)
-    return seen
+def reference_stream(series, horizon):
+    """The candidate stream read off the term rule: the indices up to the
+    horizon of the positive terms, on coordinate 1 off the line."""
+    idx = np.arange(1, horizon + 1, dtype=np.int64)
+    coords, coeffs = series.columns(idx)
+    mask = coeffs > 0
+    if not series.is_scalar:
+        mask &= coords == 1
+    return SubseqStem.from_values(idx[mask])
 
 
-def _eager(monkeypatch, config):
-    """The payload of one provisioning to the horizon: the first bound is
-    the horizon itself."""
-    with monkeypatch.context() as patch:
-        patch.setattr(runners, "_FIRST_BOUND", config["horizon"])
-        return _payload(config)
+BLOCK, CHUNK = series_module._BLOCK, series_module._CHUNK
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, BLOCK - 1, BLOCK + 1, CHUNK + 3])
+@pytest.mark.parametrize("name", catalog_names())
+def test_declared_candidates_are_the_rule_derived_stream(name, horizon):
+    series = catalog_series(name)
+    declared = provision_candidate_stream(series, horizon)
+    # the same runs, so a stem cut from either serializes the same
+    assert declared.runs == reference_stream(series, horizon).runs
+
+
+@pytest.mark.parametrize("horizon", [3, 5_000])
+@pytest.mark.parametrize("series", catalog_names())
+@pytest.mark.parametrize("construction", STREAM_FED)
+def test_declared_stream_payloads_equal_the_reference_stream(
+    monkeypatch, series, construction, horizon
+):
+    flags = {"depth": 2} if construction == "rearrangement" else {"m": 1}
+    config = {"series": series, "construction": construction, "horizon": horizon, **flags}
+    declared = _payload(config)
+    monkeypatch.setattr(runners, "provision_candidate_stream", reference_stream)
+    assert declared == _payload(config)
+
+
+def reference_grow(series, target, horizon):
+    """The checkpoint positions of grow_unbounded_subseries, or its best
+    norm on exhaustion, from the mask-based candidate scan: the term rule
+    over _BLOCK-index windows, a cumsum over each window's positive terms."""
+    raw, running, count, pending = [], 0.0, 0, None
+    for lo in range(1, horizon + 1, BLOCK):
+        idx = np.arange(lo, min(horizon, lo + BLOCK - 1) + 1, dtype=np.int64)
+        coords, coeffs = series.columns(idx)
+        mask = (coeffs > 0) & (True if series.is_scalar else coords == 1)
+        if not mask.any():
+            continue
+        csum = np.cumsum(coeffs[mask])
+        values = np.abs(running + csum)
+        if pending is None:
+            raw.append(count + 1)
+            pending = _threshold_chain(float(values[0]), target)
+        while pending:
+            final = len(pending) == 1 and pending[0] >= target
+            i = int(np.searchsorted(values, target + DELTA, side="right") if final
+                    else np.searchsorted(values, pending[0], side="left"))
+            if i >= values.size:
+                break
+            raw.append(count + i + 1)
+            pending.pop(0)
+            if not pending:
+                return raw
+        running = float(running + csum[-1])
+        count += int(mask.sum())
+    return abs(running)
 
 
 @pytest.mark.parametrize(
-    "construction, flags, horizon, attempts",
+    "name, target, horizon",
     [
-        ("rearrangement", {"depth": 1}, 600_000, [65_536]),
-        ("nowhere-dense-subseq", {"m": 5}, 600_000, [65_536, 524_288]),
-        # exhaustions: the last attempt is the eager one
-        ("nowhere-dense-subseq", {"m": 6}, 600_000, [65_536, 524_288, 600_000]),
-        ("nowhere-dense-rearr", {"m": 2}, 100_000, [65_536, 100_000]),
-        ("dense-open-cm", {"m": 3}, 600_000, [65_536, 524_288, 600_000]),
+        ("alt-harmonic", 3.0, 10_000),
+        # the last crossing lies in the sixth window
+        ("alt-harmonic", 6.0, 400_000),
+        ("growing-real", 1e6, 5_000),
+        ("unit-basis-c0", 2.0, 3 * BLOCK + 5),
+        ("decaying-signed-c0", 2.0, 3 * BLOCK + 5),
     ],
 )
-def test_growing_stream_equals_the_eager_stream(
-    monkeypatch, bounds, construction, flags, horizon, attempts
-):
-    config = {"series": "alt-harmonic", "construction": construction,
-              "horizon": horizon, **flags}
-    grown = _payload(config)
-    assert bounds == attempts
-    assert grown == _eager(monkeypatch, config)
-
-
-@pytest.mark.parametrize(
-    "series", ["alt-harmonic", "growing-real", "unit-basis-c0", "decaying-signed-c0"]
-)
-@pytest.mark.parametrize("construction", STREAM_FED)
-def test_many_small_attempts_equal_the_eager_stream(
-    monkeypatch, bounds, series, construction
-):
-    # a first bound of 3 forces attempts at 3, 24, 192, ... on every cell
-    monkeypatch.setattr(runners, "_FIRST_BOUND", 3)
-    flags = {"depth": 2} if construction == "rearrangement" else {"m": 1}
-    config = {"series": series, "construction": construction, "horizon": 5_000, **flags}
-    grown = _payload(config)
-    assert bounds == sorted(set(bounds)) and bounds[0] == 3
-    assert grown == _eager(monkeypatch, config)
-
-
-def test_a_shallow_rearrangement_provisions_one_small_bound(bounds):
-    _payload({"series": "alt-harmonic", "construction": "rearrangement",
-              "horizon": 3_000_000, "depth": 1})
-    assert bounds == [1 << 16]
+def test_grow_reads_the_stream_in_the_windows_of_the_mask_scan(name, target, horizon):
+    series = catalog_series(name)
+    expected = reference_grow(series, target, horizon)
+    try:
+        cert = grow_unbounded_subseries(series, target, horizon)
+    except ScanExhausted as exc:
+        assert exc.best == expected
+    else:
+        assert [cp.position for cp in cert.checkpoints] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +151,7 @@ def work(monkeypatch):
         seen["terms"] += n.size
         return alt.rule(n)
 
-    counted = SeriesOracle(alt.name, alt.space, alt.description,
-                           alt.liminf_norm_zero, alt.limsup_norm_infinite, rule)
+    counted = dataclasses.replace(alt, rule=rule)
     engine = series_module._norm_chunks
 
     def streamed(*args):
@@ -138,14 +166,16 @@ def work(monkeypatch):
 
 # Each position is read once per fact: a checkpoint takes its value from
 # the scan that found it, the registry does not re-check the p' it has just
-# built, and short runs share one term-rule call.
+# built, and short runs share one term-rule call.  The candidate stream is
+# declared, so every term evaluated is a position the engine streams.
 @pytest.mark.parametrize(
     "flags, positions, calls, terms",
     [
-        ({"construction": "rearrangement", "depth": 3}, 2_035_821, 181, 5_625_645),
+        ({"construction": "rearrangement", "depth": 3}, 1_542_083, 50, 1_542_083),
         # an exhaustion: p' of depth 3 never passes 2 after the value 1
-        ({"construction": "nowhere-dense-rearr", "m": 2}, 4_863_047, 270, 8_452_871),
+        ({"construction": "nowhere-dense-rearr", "m": 2}, 4_369_309, 139, 4_369_309),
     ],
+    ids=["rearrangement-depth-3", "nowhere-dense-rearr-m-2"],
 )
 def test_registry_work_counts(work, flags, positions, calls, terms):
     _, seen = work

@@ -302,8 +302,9 @@ def reference_missing_below(stem, bound):
     """The value-scatter mask that missing_below used to fill."""
     mask = np.ones(bound + 1, dtype=bool)
     mask[0] = False
-    for chunk in stem.iter_chunks():
-        mask[chunk[chunk <= bound]] = False
+    for run in stem.runs:
+        values = run.to_numpy()
+        mask[values[values <= bound]] = False
     return compress_values(np.flatnonzero(mask))
 
 
