@@ -54,6 +54,7 @@ from .ideals import (
 )
 from .witnesses import (
     Checkpoint,
+    CheckpointColumns,
     InconsistentGrowthWitness,
     PatternTooLarge,
     PreconditionViolation,

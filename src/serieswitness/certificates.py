@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .stems import (
     compress_values,
 )
 from .witnesses import (
-    Checkpoint,
+    CheckpointColumns,
     ScanExhausted,
     WitnessCertificate,
     verify_certificate,
@@ -68,18 +71,22 @@ def _bits_to_rle(bits: np.ndarray | tuple[int, ...]) -> list[list[int]]:
 
 
 # The longest 0-1 word a document may carry.  A word is expanded letter by
-# letter (an int64 array, then a tuple), so its length is checked against
-# this budget before anything of that length is allocated.
+# letter into an int64 array, so its length is checked against this budget
+# before anything of that length is allocated.
 _MAX_WORD_LETTERS = 1 << 26
 
 
-def _bits_from_rle(rle: list[list[int]]) -> tuple[int, ...]:
-    pairs = np.array(rle, dtype=np.int64).reshape(len(rle), 2)
+def _bits_from_rle(rle: list[list[int]]) -> np.ndarray:
+    if type(rle) is list and set(map(type, rle)) == {list} and set(map(len, rle)) == {2}:
+        # the usual list of pairs, read in one pass without nested lists
+        pairs = np.fromiter(chain.from_iterable(rle), np.int64, 2 * len(rle)).reshape(-1, 2)
+    else:
+        pairs = np.array(rle, dtype=np.int64).reshape(len(rle), 2)
     counts = np.maximum(pairs[:, 1], 0)
     # each count is checked first, so the sum cannot wrap around
     if counts.max(initial=0) > _MAX_WORD_LETTERS or counts.sum() > _MAX_WORD_LETTERS:
         raise _BadStemField("rle", f"spells a word longer than {_MAX_WORD_LETTERS} letters")
-    return tuple(np.repeat(pairs[:, 0], counts).tolist())
+    return np.repeat(pairs[:, 0], counts)
 
 
 def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
@@ -136,14 +143,12 @@ def talagrand_from_json(data: dict[str, Any] | None) -> TalagrandSequence | None
 # witness certificates
 
 
-def checkpoint_to_json(cp: Checkpoint) -> dict[str, Any]:
-    return {
-        "position": cp.position,
-        "value": cp.value,
-        "bound": cp.bound,
-        "relation": cp.relation,
-        "kind": cp.kind,
-    }
+def _checkpoints_to_json(cps: CheckpointColumns) -> list[dict[str, Any]]:
+    """One object per checkpoint, zipped from the columns."""
+    rows = zip(cps.position.tolist(), cps.value.tolist(), cps.bound.tolist(),
+               cps.relation.tolist(), cps.kind.tolist())
+    return [{"position": p, "value": v, "bound": b, "relation": r, "kind": k}
+            for p, v, b, r, k in rows]
 
 
 _RELATIONS = (">", ">=")
@@ -183,15 +188,15 @@ def _known_column(column: list[Any], field: str, known: tuple[str, ...]) -> list
     return column
 
 
-def checkpoints_from_json(items: list[dict[str, Any]]) -> tuple[Checkpoint, ...]:
-    """Checkpoints from their documents, checked column by column: a
-    position is an int (not a bool), a value and a bound are finite
+def checkpoints_from_json(items: list[dict[str, Any]]) -> CheckpointColumns:
+    """The checkpoint columns of their documents, checked column by column:
+    a position is an int (not a bool), a value and a bound are finite
     numbers, a relation and a kind are ones the verifier knows.  A bad
     field raises DocumentError naming it."""
     positions = [data["position"] for data in items]
     if not set(map(type, positions)) <= {int}:
         _refuse_first(positions, "position", lambda v: type(v) is int, "an int")
-    return Checkpoint.from_columns(
+    return CheckpointColumns(
         positions,
         _finite_column([data["value"] for data in items], "value"),
         _finite_column([data["bound"] for data in items], "bound"),
@@ -206,7 +211,7 @@ def certificate_to_json(cert: WitnessCertificate) -> dict[str, Any]:
         "series": cert.series_name,
         "stem": stem_to_json(cert.stem),
         "base": stem_to_json(cert.base) if cert.base is not None else None,
-        "checkpoints": [checkpoint_to_json(c) for c in cert.checkpoints],
+        "checkpoints": _checkpoints_to_json(cert.checkpoints),
         "interval_index": cert.interval_index,
         "interval": list(cert.interval) if cert.interval else None,
         "talagrand": talagrand_to_json(cert.talagrand),
@@ -310,9 +315,8 @@ def document_for_exhaustion(
     return _document("exhaustion", config, result, seconds)
 
 
-def _exceed_runs(exceed_set: frozenset[int]) -> list[list[int]]:
-    values = np.fromiter(exceed_set, dtype=np.int64, count=len(exceed_set))
-    return [[r.start, r.step, r.count] for r in compress_values(np.sort(values))]
+def _exceed_runs(positions: np.ndarray) -> list[list[int]]:
+    return [[r.start, r.step, r.count] for r in compress_values(positions)]
 
 
 def document_for_verdict(
@@ -333,8 +337,8 @@ def document_for_verdict(
         "threshold": threshold,
         "status": verdict.status,
         "interval_count": verdict.interval_count,
-        "contained_intervals": list(verdict.report.contained_intervals),
-        "exceed_runs": _exceed_runs(verdict.report.exceed_set),
+        "contained_intervals": verdict.report.contained_intervals.tolist(),
+        "exceed_runs": _exceed_runs(verdict.report.exceed_positions),
     }
     return _document("verdict", config, result, seconds)
 
@@ -346,8 +350,122 @@ def dumps_document(doc: dict[str, Any]) -> str:
 
 
 def payload_without_timing(doc: dict[str, Any]) -> str:
+    """The document without `timing`, exactly as
+    `json.dumps(trimmed, sort_keys=True, indent=2) + "\\n"` spells it.  The
+    standard library encodes an indented document in pure Python, one value
+    at a time; this walk hands whole columns of values to C instead."""
     trimmed = {k: v for k, v in doc.items() if k != "timing"}
-    return json.dumps(trimmed, sort_keys=True, indent=2) + "\n"
+    return _indented(trimmed, 0) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the indented encoding of payload_without_timing
+
+
+_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(value: Any) -> str:
+    """The standard library's text for a value that is not a container."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NOT_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _column_texts(column: Sequence[Any]) -> list[str] | None:
+    """The texts of a column of values, or None if it holds a container.
+    A column of one type is mapped through that type's encoder in C."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    if kinds == {float} and math.isfinite(sum(column)):
+        return list(map(float.__repr__, column))
+    if kinds == {str}:
+        codes = {text: encode_basestring_ascii(text) for text in set(column)}
+        return list(map(codes.__getitem__, column))
+    if any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
+        return None
+    return list(map(_scalar_text, column))
+
+
+def _rows_text(rows: Sequence[Any], level: int) -> str | None:
+    """The items of a list at nesting `level`, joined as the list joins
+    them, if they are all dicts with the same str keys or all lists of one
+    length, and no field is a container (None otherwise).  Each field is
+    encoded a column at a time, and the columns are interleaved with the
+    fixed text between them in one join."""
+    kinds = set(map(type, rows))
+    first = rows[0]
+    if not (kinds == {dict} or kinds <= {list, tuple}) or not first \
+            or set(map(len, rows)) != {len(first)}:
+        return None
+    if kinds == {dict} and set(map(type, first)) == {str}:
+        keys = sorted(first)
+        try:
+            columns = [_column_texts(list(map(itemgetter(k), rows))) for k in keys]
+        except KeyError:  # another row has other keys
+            return None
+        labels = [encode_basestring_ascii(k) + ": " for k in keys]
+        opening, closing = "{", "}"
+    elif kinds <= {list, tuple}:
+        columns = [_column_texts(column) for column in zip(*rows)]
+        labels = [""] * len(first)
+        opening, closing = "[", "]"
+    else:  # dicts with a key that is not a str
+        return None
+    if None in columns:
+        return None
+    inner = "\n" + "  " * (level + 1)
+    between = ",\n" + "  " * level
+    heads = [opening + inner + labels[0]] + ["," + inner + label for label in labels[1:]]
+    parts: list[Iterable[str]] = []
+    for head, column in zip(heads, columns):
+        parts += (repeat(head), column)
+    parts.append(repeat(between[1:] + closing + between))
+    return "".join(chain.from_iterable(zip(*parts)))[: -len(between)]
+
+
+def _indented(value: Any, level: int) -> str:
+    """The standard library's indent=2, sort_keys=True text of a value whose
+    own line is indented by `level` steps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts = _column_texts(value)
+        if texts is None:
+            body = _rows_text(value, level + 1)
+            if body is not None:
+                return "[" + inner + body + "\n" + "  " * level + "]"
+            texts = [_indented(item, level + 1) for item in value]
+        opening, closing = "[", "]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str is spelled as its value, then quoted
+        texts = [
+            encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key))
+            + ": " + _indented(item, level + 1)
+            for key, item in sorted(value.items())
+        ]
+        opening, closing = "{", "}"
+    else:
+        return _scalar_text(value)
+    return opening + inner + ("," + inner).join(texts) + "\n" + "  " * level + closing
+
 
 
 def write_document(doc: dict[str, Any], path: str) -> None:
@@ -396,11 +514,11 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
     trace = partial_sums(series, indexer, horizon)
     report = exceedance_report(trace, bound, seq)
     issues: list[str] = []
-    if _exceed_runs(report.exceed_set) != exceed_runs:
+    if _exceed_runs(report.exceed_positions) != exceed_runs:
         issues.append("exceedance set does not recompute")
-    if list(report.contained_intervals) != contained:
+    if report.contained_intervals.tolist() != contained:
         issues.append(
-            f"contained intervals recompute to {list(report.contained_intervals)}"
+            f"contained intervals recompute to {report.contained_intervals.tolist()}"
         )
     status = verdict_status(report, threshold)
     if status != recorded_status:

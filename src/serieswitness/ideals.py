@@ -176,20 +176,21 @@ def density_at(members: Iterable[int], n: int) -> float:
     return count / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExceedanceReport:
     """Positions whose partial-sum norm breaks the bound, with the fully
-    contained intervals of the chosen sequence listed as evidence."""
+    contained intervals of the chosen sequence listed as evidence.  Both
+    are sorted, read-only int64 arrays."""
 
     bound: float
     horizon: int
-    exceed_set: frozenset[int]
-    contained_intervals: tuple[int, ...]
+    exceed_positions: np.ndarray
+    contained_intervals: np.ndarray
     talagrand: TalagrandSequence
 
     @property
     def interval_count(self) -> int:
-        return len(self.contained_intervals)
+        return int(self.contained_intervals.size)
 
 
 def exceedance_report(
@@ -210,12 +211,14 @@ def exceedance_report(
     starts, stops = cuts[:-1], cuts[1:]
     ends = np.minimum(stops - 1, horizon)
     full = exceeding[ends] - exceeding[starts - 1] == stops - starts
+    positions = np.flatnonzero(mask) + 1
     contained = np.flatnonzero(full) + 1
+    positions.flags.writeable = contained.flags.writeable = False
     return ExceedanceReport(
         bound=float(bound),
         horizon=horizon,
-        exceed_set=frozenset((np.flatnonzero(mask) + 1).tolist()),
-        contained_intervals=tuple(contained.tolist()),
+        exceed_positions=positions,
+        contained_intervals=contained,
         talagrand=seq,
     )
 
@@ -244,7 +247,7 @@ class BoundednessVerdict:
 
 def verdict_status(report: ExceedanceReport, threshold: int) -> str:
     """The status a BoundednessVerdict with this report and threshold has."""
-    if not report.exceed_set:
+    if not report.exceed_positions.size:
         return BOUNDED_EVIDENCE
     if report.interval_count >= threshold:
         return I_UNBOUNDED_EVIDENCE

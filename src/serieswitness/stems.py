@@ -9,7 +9,7 @@ multi-million-entry stems cheap to build, serialize and re-verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -148,7 +148,11 @@ class _RunStem:
         return bool(np.array_equal(self.to_numpy(), other.to_numpy()))
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.runs))
+        # what equal stems share however their runs are split: __eq__ falls
+        # back to the values, so the runs themselves cannot be hashed
+        if not self.runs:
+            return hash((type(self).__name__, 0))
+        return hash((type(self).__name__, len(self), self.runs[0].start, self.runs[-1].last))
 
     def __repr__(self) -> str:
         if len(self) <= 12:
@@ -343,44 +347,69 @@ class RearrStem(_RunStem):
         return max((r.max_value for r in self._prefix_runs(length)), default=0) == length
 
 
-@dataclass(frozen=True)
 class SelectionStem:
-    """Finite 0-1 word; position i selects (or drops) the i-th series term."""
+    """Finite 0-1 word; position i selects (or drops) the i-th series term.
 
-    bits: tuple[int, ...] = ()
-    _word: np.ndarray = field(init=False, compare=False, repr=False)
+    `bits` is the word as one read-only int64 array, copied once from the
+    sequence or array the stem is built from."""
 
-    def __post_init__(self) -> None:
-        if not set(self.bits) <= {0, 1}:
+    __slots__ = ("bits",)
+
+    bits: np.ndarray
+
+    def __init__(self, bits: Sequence[int] | np.ndarray = ()) -> None:
+        word = np.asarray(bits)
+        if word.ndim != 1 or not ((word == 0) | (word == 1)).all():
             raise ValueError("selection stems are words over {0, 1}")
-        word = np.fromiter(self.bits, dtype=np.int64, count=len(self.bits))
+        word = word.astype(np.int64)
         word.flags.writeable = False
-        object.__setattr__(self, "_word", word)
+        object.__setattr__(self, "bits", word)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("stems are immutable")
 
     @classmethod
     def from_word(cls, word: str) -> "SelectionStem":
-        return cls(tuple(int(c) for c in word))
+        return cls([int(c) for c in word])
 
     @classmethod
     def ones(cls, length: int) -> "SelectionStem":
-        return cls((1,) * length)
+        return cls(np.ones(length, dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.bits.size
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SelectionStem:
+            return NotImplemented
+        return bool(np.array_equal(self.bits, other.bits))
+
+    def __hash__(self) -> int:
+        return hash((len(self), np.packbits(self.bits).tobytes()))
+
+    def __repr__(self) -> str:
+        if len(self) <= 64:
+            return f"SelectionStem(bits={tuple(self.bits.tolist())})"
+        return f"SelectionStem(bits={self.word()[:32]}... len={len(self)})"
 
     def word(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits.tolist()))
 
     def prefix(self, length: int) -> "SelectionStem":
-        if length > len(self.bits):
+        if length > len(self):
             raise IndexError(length)
         return SelectionStem(self.bits[:length])
 
+    def extends(self, base: IndexerStem) -> bool:
+        """True if `base` is a word this one starts with."""
+        return (type(base) is SelectionStem and len(base) <= len(self)
+                and bool(np.array_equal(self.bits[: len(base)], base.bits)))
+
     def ones_positions(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
+        return tuple((np.flatnonzero(self.bits) + 1).tolist())
 
     def to_numpy(self) -> np.ndarray:
-        return self._word
+        return self.bits
 
 
 IndexerStem = SelectionStem | SubseqStem | RearrStem

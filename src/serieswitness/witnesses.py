@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +35,7 @@ __all__ = [
     "InconsistentGrowthWitness",
     "PatternTooLarge",
     "Checkpoint",
+    "CheckpointColumns",
     "WitnessCertificate",
     "default_scan_horizon",
     "uniform_bound_bruteforce",
@@ -124,11 +124,77 @@ class Checkpoint(NamedTuple):
     def holds(self) -> bool:
         return bool(relation_holds(self.value, self.bound, self.relation))
 
+
+def _strings(column: str | Sequence[str] | np.ndarray, size: int) -> np.ndarray:
+    """An object array of `size` strings; one string is repeated."""
+    if isinstance(column, str):
+        return np.full(size, column, dtype=object)
+    return np.array(column, dtype=object).reshape(-1)
+
+
+class CheckpointColumns:
+    """The checkpoints of a certificate as five parallel read-only columns:
+    position (int64, or an object array of ints when one lies outside
+    int64), value and bound (float64), relation and kind (object arrays of
+    str).  The program reads the columns; iterating yields Checkpoint rows,
+    and indexing one position gives its row."""
+
+    __slots__ = Checkpoint._fields
+
+    def __init__(self, position, value, bound, relation, kind="partial-sum") -> None:
+        try:
+            pos = np.array(position, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            pos = np.array(list(position), dtype=object)
+        columns = (
+            pos,
+            np.array(value, dtype=np.float64).reshape(-1),
+            np.array(bound, dtype=np.float64).reshape(-1),
+            _strings(relation, pos.size),
+            _strings(kind, pos.size),
+        )
+        if any(column.size != pos.size for column in columns):
+            raise ValueError("checkpoint columns differ in length")
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
     @classmethod
-    def from_columns(cls, *columns: Iterable) -> tuple["Checkpoint", ...]:
-        """Checkpoints from parallel columns (position, value, bound, relation,
-        kind), built by tuple.__new__ without a Python call per checkpoint."""
-        return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
+    def of(cls, rows: Iterable[Checkpoint]) -> "CheckpointColumns":
+        """The columns of Checkpoint rows."""
+        return cls(*(tuple(zip(*rows)) or ((),) * 5))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("checkpoint columns are immutable")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return self.position.size
+
+    def __iter__(self) -> Iterator[Checkpoint]:
+        return map(Checkpoint._make, zip(*(c.tolist() for c in self._columns())))
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return CheckpointColumns(*(c[index] for c in self._columns()))
+        return Checkpoint._make(
+            v.item() if isinstance(v, np.generic) else v
+            for v in (c[index] for c in self._columns())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckpointColumns):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        head = ", ".join(map(repr, self[:3]))
+        more = f", ... {len(self)} checkpoints" if len(self) > 3 else ""
+        return f"CheckpointColumns({head}{more})"
 
 
 @dataclass(frozen=True)
@@ -144,13 +210,18 @@ class WitnessCertificate:
     construction: str
     series_name: str
     stem: IndexerStem
-    checkpoints: tuple[Checkpoint, ...]
+    checkpoints: CheckpointColumns
     base: IndexerStem | None = None
     interval_index: int | None = None
     interval: tuple[int, int] | None = None
     talagrand: TalagrandSequence | None = None
     stage_boundaries: tuple[int, ...] = ()
     details: tuple[tuple[str, float | int | str], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Checkpoint rows (a tuple, say) are taken as their columns
+        if not isinstance(self.checkpoints, CheckpointColumns):
+            object.__setattr__(self, "checkpoints", CheckpointColumns.of(self.checkpoints))
 
     def detail(self, name: str):
         for key, value in self.details:
@@ -159,8 +230,9 @@ class WitnessCertificate:
         return None
 
     def final_norm(self) -> float | None:
-        sums = [c for c in self.checkpoints if c.kind == "partial-sum"]
-        return sums[-1].value if sums else None
+        cps = self.checkpoints
+        sums = cps.value[cps.kind == "partial-sum"]
+        return float(sums[-1]) if sums.size else None
 
 
 def default_scan_horizon(series: SeriesOracle) -> int:
@@ -202,18 +274,25 @@ def _first_index(
 def _canonical_checkpoints(
     series: SeriesOracle,
     stem: IndexerStem,
-    raw: Sequence[tuple[int, float, str]],
-) -> tuple[Checkpoint, ...]:
+    positions: Sequence[int] | np.ndarray,
+    bounds: Sequence[float] | np.ndarray,
+    relations: str | Sequence[str],
+) -> CheckpointColumns:
     """Recompute checkpoint values through the canonical engine so that
     construction and verification agree bit for bit."""
-    return _checked_checkpoints(raw, norms_at(series, stem, [p for p, _, _ in raw]))
+    values = norms_at(series, stem, positions)
+    return _checked_checkpoints(positions, bounds, relations, values)
 
 
 def _checked_checkpoints(
-    raw: Sequence[tuple[int, float, str]], values: Sequence[float] | np.ndarray
-) -> tuple[Checkpoint, ...]:
-    """Partial-sum checkpoints from (position, bound, relation) and the norm
-    at each position; a norm that misses its relation raises ScanExhausted.
+    positions: Sequence[int] | np.ndarray,
+    bounds: Sequence[float] | np.ndarray,
+    relations: str | Sequence[str],
+    values: Sequence[float] | np.ndarray,
+) -> CheckpointColumns:
+    """Partial-sum checkpoints from their position, bound and relation
+    columns (one relation may stand for all) and the norm at each position;
+    a norm that misses its relation raises ScanExhausted.
 
     The constructions pass the norms their crossing scans read, and these
     are the values norms_at gives on the final stem.  That stem is the
@@ -222,25 +301,19 @@ def _checked_checkpoints(
     are never merged, and the engine's arithmetic at a position depends
     only on the runs up to it, so the scan and a recompute agree bit for
     bit."""
-    if not raw:
-        return ()
-    positions, bounds, relations = zip(*raw)
-    values = np.asarray(values, dtype=np.float64)
-    floats = np.array(bounds, dtype=np.float64)
-    missed = np.flatnonzero(~relation_holds(values, floats, relations))
+    cps = CheckpointColumns(positions, values, bounds, relations)
+    missed = np.flatnonzero(~relation_holds(cps.value, cps.bound, cps.relation))
     if missed.size:
-        position, bound, relation = raw[int(missed[0])]
-        value = values[int(missed[0])]
+        at = int(missed[0])
+        position, value = int(cps.position[at]), cps.value[at]
         raise ScanExhausted(
             "checkpoint-recompute",
             f"norm {value!r} at position {position} misses "
-            f"{relation} {bound}",
+            f"{cps.relation[at]} {float(cps.bound[at])}",
             position,
             best=float(value),
         )
-    return Checkpoint.from_columns(
-        positions, values.tolist(), floats.tolist(), relations, repeat("partial-sum")
-    )
+    return cps
 
 
 def _validate_prior_checkpoints(
@@ -375,7 +448,7 @@ def grow_unbounded_subseries(
     # taken window by window, over the candidates among _BLOCK consecutive
     # series indices.
     stream = provision_candidate_stream(series, horizon)
-    raw: list[tuple[int, float, str]] = []
+    raw: list[tuple[int, float, str]] = []  # (position, bound, relation)
     running = 0.0
     count = 0
     pending: list[float] | None = None
@@ -417,7 +490,7 @@ def grow_unbounded_subseries(
                 construction="grow-subseries",
                 series_name=series.name,
                 stem=stem,
-                checkpoints=_canonical_checkpoints(series, stem, raw),
+                checkpoints=_canonical_checkpoints(series, stem, *zip(*raw)),
                 details=(("target", float(target)),) + strategy,
             )
         running = float(running + csum[-1])
@@ -488,7 +561,7 @@ def subseries_to_rearrangement(
             f"growth witness certifies less than depth {depth}"
         )
     q = RearrStem(())
-    raw: list[tuple[int, float, str]] = []
+    positions: list[int] = []
     values: list[float] = []
     boundaries: list[int] = []
     scan_end = min(len(stem), horizon)
@@ -510,7 +583,7 @@ def subseries_to_rearrangement(
             strict=False, start_pos=k_prev + 1,
             reason=f"stage {level} never crossed {level}",
         )
-        raw.append((position, float(level), ">="))
+        positions.append(position)
         values.append(value)
         q = extend_to_prefix_bijection(candidate.prefix(position))
         boundaries.append(len(q))
@@ -518,7 +591,7 @@ def subseries_to_rearrangement(
         construction="rearrangement",
         series_name=series.name,
         stem=q,
-        checkpoints=_checked_checkpoints(raw, values),
+        checkpoints=_checked_checkpoints(positions, range(1, depth + 1), ">=", values),
         stage_boundaries=tuple(boundaries),
         details=(("depth", depth),),
     )
@@ -560,7 +633,7 @@ def nowhere_dense_witness_subseq(
         construction="nowhere-dense-subseq",
         series_name=series.name,
         stem=candidate.prefix(max(position, k + 1)),
-        checkpoints=_checked_checkpoints([(position, float(m), ">")], [value]),
+        checkpoints=_checked_checkpoints([position], [m], ">", [value]),
         base=base,
         details=(("m", float(m)), ("tail-start", tail_start)),
     )
@@ -607,7 +680,7 @@ def nowhere_dense_witness_rearr(
         construction="nowhere-dense-rearr",
         series_name=series.name,
         stem=witness,
-        checkpoints=_checked_checkpoints([(position, float(m), ">")], [value]),
+        checkpoints=_checked_checkpoints([position], [m], ">", [value]),
         base=base,
         stage_boundaries=(len(witness),),
         details=(("m", float(m)), ("tail-start", tail_start)),
@@ -726,7 +799,7 @@ def _interval_witness(
         series_name=series.name,
         stem=stem,
         checkpoints=_canonical_checkpoints(
-            series, stem, [(j, float(m), ">") for j in window]
+            series, stem, np.arange(window.start, window.stop), np.full(len(window), m), ">"
         ),
         base=base,
         interval_index=k,
@@ -873,7 +946,7 @@ def dense_open_witness_Am(
     word = np.zeros(seq.n(k + 1) - 1, dtype=np.int64)
     word[: len(base)] = base.to_numpy()
     word[picks.to_numpy(position) - 1] = 1
-    stem = SelectionStem(tuple(word.tolist()))
+    stem = SelectionStem(word)
     return _interval_witness(
         series, "dense-open-Am", stem, base, seq, k, m, (("m", m), ("crossing", cross_pos))
     )
@@ -1001,12 +1074,9 @@ def verify_certificate(
         series = catalog_series(cert.series_name)
     stem = cert.stem
 
-    if cert.base is not None:
-        if isinstance(stem, SelectionStem):
-            if stem.bits[: len(cert.base.bits)] != cert.base.bits:
-                issues.append("stem does not extend its base word")
-        elif not stem.extends(cert.base):
-            issues.append("stem does not extend its base stem")
+    if cert.base is not None and not stem.extends(cert.base):
+        what = "word" if isinstance(stem, SelectionStem) else "stem"
+        issues.append(f"stem does not extend its base {what}")
 
     for boundary in cert.stage_boundaries:
         if not isinstance(stem, RearrStem) or not stem.is_prefix_bijection(boundary):
@@ -1015,12 +1085,10 @@ def verify_certificate(
             )
 
     cps = cert.checkpoints
-    positions, values, bounds, relations, kinds = zip(*cps) if cps else ((),) * 5
-    try:
-        pos = np.array(positions, dtype=np.int64)
-    except OverflowError:
+    pos = cps.position
+    if pos.dtype != np.int64:
         return issues + ["checkpoint position outside the 64-bit range"]
-    partial = np.array([kind == "partial-sum" for kind in kinds], dtype=bool)
+    partial = cps.kind == "partial-sum"
 
     if cert.interval is not None:
         lo, hi = cert.interval
@@ -1045,16 +1113,11 @@ def verify_certificate(
         except Exception as exc:  # noqa: BLE001  - report, never crash
             issues.append(f"cannot recompute partial sums: {exc}")
         else:
-            recorded = np.array(values, dtype=np.float64)[order]
             with np.errstate(invalid="ignore"):
-                far = ~(np.abs(recomputed - recorded) <= DELTA)
+                far = ~(np.abs(recomputed - cps.value[order]) <= DELTA)
             held = np.ones(order.size, dtype=bool)
             near = order[~far]
-            held[~far] = relation_holds(
-                recomputed[~far],
-                np.array(bounds, dtype=np.float64)[near],
-                np.asarray(relations, dtype=object)[near],
-            )
+            held[~far] = relation_holds(recomputed[~far], cps.bound[near], cps.relation[near])
             for rank in np.flatnonzero(far | ~held):
                 cp, value = cps[order[rank]], float(recomputed[rank])
                 issues.append(f"checkpoint at position {cp.position}: " + (
@@ -1062,9 +1125,7 @@ def verify_certificate(
                     else f"norm {value!r} fails {cp.relation} {cp.bound!r}"
                 ))
 
-    for cp in cert.checkpoints:
-        if cp.kind != "term-norm":
-            continue
+    for cp in map(cps.__getitem__, np.flatnonzero(cps.kind == "term-norm")):
         try:
             index = stem.value_at(cp.position)
         except (IndexError, AttributeError):

@@ -231,7 +231,7 @@ def test_criterion_6_ideal_evidence(unit):
         unit, SelectionStem.ones(64), density_ideal(), 0.5, 64
     )
     assert verdict.status == "i-unbounded-evidence"
-    assert verdict.report.contained_intervals == (1, 2, 3, 4, 5)
+    assert verdict.report.contained_intervals.tolist() == [1, 2, 3, 4, 5]
     union = set()
     for k in verdict.report.contained_intervals:
         union.update(interval(GEO, k))

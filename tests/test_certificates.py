@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import json
+import math
 import pathlib
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serieswitness import (
@@ -34,7 +36,12 @@ from serieswitness.runners import execute_config, resolve_config
 from serieswitness.series import catalog_series, norms_at
 from serieswitness.spaces import DELTA
 from serieswitness.stems import IndexRun
-from serieswitness.witnesses import Checkpoint, WitnessCertificate, verify_certificate
+from serieswitness.witnesses import (
+    Checkpoint,
+    CheckpointColumns,
+    WitnessCertificate,
+    verify_certificate,
+)
 
 
 def _witness_doc(tmp_path, config):
@@ -234,7 +241,7 @@ def test_bits_to_rle_matches_the_loop(bits):
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 40)), max_size=30))
 def test_bits_from_rle_matches_the_loop(pairs):
     rle = [list(pair) for pair in pairs]
-    assert _bits_from_rle(rle) == reference_bits_from_rle(rle)
+    assert tuple(_bits_from_rle(rle).tolist()) == reference_bits_from_rle(rle)
 
 
 def test_documents_are_one_line_of_json(tmp_path):
@@ -255,11 +262,13 @@ def test_an_indented_document_still_verifies(tmp_path, capsys):
 
 
 def reference_checkpoint_issues(cert, series):
-    """Interval coverage and the per-checkpoint loop as verify_certificate
-    ran them before it compared arrays."""
+    """Interval coverage and the per-checkpoint loops, over Checkpoint rows,
+    as verify_certificate ran them before it read the checkpoint columns."""
     def holds(value, bound, relation):
         return value > bound + DELTA if relation == ">" else value >= bound - DELTA
 
+    if any(not -(2**63) <= c.position < 2**63 for c in cert.checkpoints):
+        return ["checkpoint position outside the 64-bit range"]
     issues = []
     if cert.interval is not None:
         lo, hi = cert.interval
@@ -269,7 +278,11 @@ def reference_checkpoint_issues(cert, series):
             issues.append(f"interval [{lo}, {hi}) misses checkpoints at {missing[:5]}")
     sum_cps = [c for c in cert.checkpoints if c.kind == "partial-sum"]
     order = sorted(range(len(sum_cps)), key=lambda i: sum_cps[i].position)
-    values = norms_at(series, cert.stem, [sum_cps[i].position for i in order])
+    try:
+        values = norms_at(series, cert.stem, [sum_cps[i].position for i in order])
+    except ValueError as exc:
+        issues.append(f"cannot recompute partial sums: {exc}")
+        order = []
     for rank, i in enumerate(order):
         cp = sum_cps[i]
         recomputed = float(values[rank])
@@ -283,10 +296,30 @@ def reference_checkpoint_issues(cert, series):
                 f"checkpoint at position {cp.position}: norm {recomputed!r} "
                 f"fails {cp.relation} {cp.bound!r}"
             )
+    for cp in cert.checkpoints:
+        if cp.kind != "term-norm":
+            continue
+        try:
+            index = cert.stem.value_at(cp.position)
+        except IndexError:
+            issues.append(f"term checkpoint at position {cp.position} is off-stem")
+            continue
+        recomputed = float(series.term_norms(np.array([index]))[0])
+        if abs(recomputed - cp.value) > DELTA:
+            issues.append(
+                f"term checkpoint at position {cp.position}: recorded "
+                f"{cp.value!r} but recomputed {recomputed!r}"
+            )
+        elif not holds(recomputed, cp.bound, cp.relation):
+            issues.append(
+                f"term checkpoint at position {cp.position}: {recomputed!r} "
+                f"fails {cp.relation} {cp.bound!r}"
+            )
     return issues
 
 
 def _tamperings(cps):
+    cps = list(cps)
     yield "value", [cp._replace(value=cp.value + 1e-6) if i % 7 == 3 else cp
                     for i, cp in enumerate(cps)]
     yield "bound", [cp._replace(bound=cp.value + 0.5) if i % 5 == 1 else cp
@@ -296,25 +329,37 @@ def _tamperings(cps):
         cp._replace(value=cp.value - 1.0) if i % 2 else cp._replace(bound=cp.bound + 9.0)
         for i, cp in enumerate(cps) if i % 3
     ])) + [cps[4], cps[4]._replace(value=0.0)]
+    yield "off-stem", cps + [cp._replace(position=10**9) for cp in cps[-2:]]
+    yield "past int64", [cps[0]._replace(position=-(2**63) - 1)] + cps[1:]
 
 
-@pytest.mark.parametrize("construction", ["dense-open-am", "dense-open-bm"])
-def test_tampered_checkpoints_give_the_loops_issues(construction):
-    config = resolve_config({**AM_CONFIG, "construction": construction})
-    _, cert = execute_config(config)
+# limsup-subseries certificates carry term-norm rows; rearrangement ones
+# carry >= relations
+@pytest.mark.parametrize("config", [
+    {**AM_CONFIG, "construction": "dense-open-am"},
+    {**AM_CONFIG, "construction": "dense-open-bm"},
+    {"series": "growing-real", "construction": "limsup-subseries", "depth": 9,
+     "horizon": 10**6},
+    {"series": "growing-real", "construction": "rearrangement", "depth": 9,
+     "horizon": 10**6},
+], ids=lambda config: config["construction"])
+def test_tampered_checkpoints_give_the_loops_issues(config):
+    _, cert = execute_config(resolve_config(config))
     series = catalog_series(cert.series_name)
+    assert len(cert.checkpoints) > 5
     assert verify_certificate(cert) == reference_checkpoint_issues(cert, series) == []
     for what, cps in _tamperings(cert.checkpoints):
         tampered = dataclasses.replace(cert, checkpoints=tuple(cps))
         issues = verify_certificate(tampered)
-        assert issues, what
+        # without an interval, no position needs a checkpoint
+        assert issues or (what == "dropped" and cert.interval is None), what
         assert issues == reference_checkpoint_issues(tampered, series), what
 
 
 def test_a_position_past_64_bits_is_an_issue_not_a_crash():
     _, cert = execute_config(resolve_config(AM_CONFIG))
     huge = cert.checkpoints[0]._replace(position=2**70)
-    tampered = dataclasses.replace(cert, checkpoints=(huge,) + cert.checkpoints[1:])
+    tampered = dataclasses.replace(cert, checkpoints=(huge, *cert.checkpoints[1:]))
     assert verify_certificate(tampered) == ["checkpoint position outside the 64-bit range"]
 
 
@@ -361,3 +406,86 @@ def test_a_huge_stage_boundary_is_checked_without_a_mask():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the payload digest's text
+
+
+def test_run_and_verify_build_no_checkpoint_rows(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a checkpoint row was built")
+
+    monkeypatch.setattr(CheckpointColumns, "__iter__", refuse)
+    monkeypatch.setattr(CheckpointColumns, "__getitem__", refuse)
+    path = tmp_path / "am.json"
+    assert main(["run", "--series", "alt-harmonic", "--construction", "dense-open-am",
+                 "--m", "3", "--horizon", "20000", "--out", str(path)]) == 0
+    assert len(load_document(str(path))["result"]["checkpoints"]) == 512
+    assert main(["verify", str(path)]) == 0
+
+
+def _stdlib_payload(doc):
+    trimmed = {k: v for k, v in doc.items() if k != "timing"}
+    return json.dumps(trimmed, sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(encode, doc):
+    """The text, or the type of the error the encoder raises."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_texts = st.text(max_size=6) | st.sampled_from(
+    ["%", "%s", "%%d", "é", "ŝ😀", " ", "\x00", '"', "\\", "NaN", "inf"])
+_ints = st.integers() | st.integers(-(2**80), 2**80) | st.booleans()
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-7, 1e308])
+_scalars = st.none() | _ints | _floats | _texts
+_keys = _texts | st.sampled_from(["position", "value", "bound", "kind"])
+
+
+@st.composite
+def _rows(draw, values):
+    """Lists of dicts with the same keys or of lists of one length, with
+    columns of one type or of mixed values; sometimes one row is ragged or
+    has a key of its own."""
+    width = draw(st.integers(0, 4))
+    columns = [draw(st.sampled_from([_ints, _floats, _texts, _scalars, values]))
+               for _ in range(width)]
+    table = [[draw(column) for column in columns] for _ in range(draw(st.integers(1, 5)))]
+    odd = draw(st.integers(0, len(table) - 1))
+    if draw(st.booleans()):
+        keys = draw(st.lists(_keys, min_size=width, max_size=width, unique=True))
+        rows = [dict(zip(keys, row)) for row in table]
+        if width and draw(st.booleans()):
+            rows[odd][keys[0] + "x"] = rows[odd].pop(keys[0])
+        return rows
+    if width and draw(st.booleans()):
+        table[odd].pop()
+    return table
+
+
+_trees = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_keys, children, max_size=4)
+                      | st.dictionaries(_floats | _ints | st.none(), children, max_size=3)
+                      | _rows(children)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+@example({"floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 0.1],
+          "ints": [2**70, -(2**64), 0, True, False, 7]})
+@example({"100% é": "ü%s", "rows": [{"%": 1.5, "é": "x"}, {"%": math.nan, "é": "%s"}]})
+@example({"empty": [[], {}, [[]], [{}]], "ragged": [[1, 2], [3]],
+          "other keys": [{"a": 1}, {"b": 1}], "pairs": [[0, 5], [1, 3]]})
+@example({1: "x", 2.5: [True, None], None: {}})
+@example({"mixed keys": {1: 0, "1": 0}})
+def test_payload_text_is_the_standard_librarys(tree):
+    doc = {"schema_version": "1", "result": tree, "timing": {"seconds": 0.25}}
+    assert _outcome(payload_without_timing, doc) == _outcome(_stdlib_payload, doc)

@@ -97,9 +97,9 @@ def test_exceedance_matches_per_interval_loop(above, seq, runs):
     norms = np.where(np.array(above, dtype=bool), 2.0, 0.5)
     trace = PartialSumTrace(norms)
     report = exceedance_report(trace, 1.0, seq)
-    assert (report.exceed_set, report.contained_intervals) == reference_exceedance(
-        trace, 1.0, seq
-    )
+    exceed, contained = reference_exceedance(trace, 1.0, seq)
+    assert report.exceed_positions.tolist() == sorted(exceed)
+    assert tuple(report.contained_intervals.tolist()) == contained
 
 
 # ---------------------------------------------------------------------------

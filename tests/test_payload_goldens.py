@@ -5,7 +5,9 @@ the sha256 of `payload_without_timing` with the recorded value, so any
 change to a certificate, verdict or exhaustion payload shows up here.
 Every cell writes a document, exhaustion cells (exit 2) included, and every
 cell is listed.  Each document is written and loaded once more, and the
-second copy must hash the same.
+second copy must hash the same.  Each cell's document also passes the
+independent checker of perfbench/checks.py, which recomputes every value
+without importing serieswitness.
 
 To re-pin after an intended payload change (which also bumps
 `schema_version`), print the digests with
@@ -99,13 +101,40 @@ def test_payload_is_pinned(tmp_path, cell):
     assert digest_of(tmp_path / "again.json") == GOLDENS[cell][1]
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDENS), ids="/".join)
+def test_golden_cells_pass_the_independent_checker(tmp_path, cell):
+    # perfbench/checks.py recomputes every value without serieswitness
+    checks = _perfbench_module("checks")
+    run_cell(*cell, tmp_path / "doc.json")
+    assert checks.check_document(load_document(str(tmp_path / "doc.json"))) == []
+
+
+def test_the_independent_checker_refuses_a_nudged_value(tmp_path):
+    checks = _perfbench_module("checks")
+    indented = Path(__file__).resolve().parent / "data" / "dense_open_am_indented.json"
+    assert checks.check_document(load_document(str(indented))) == []
+    run_cell("alt-harmonic", "rearrangement", tmp_path / "doc.json")
+    doc = load_document(str(tmp_path / "doc.json"))
+    assert checks.check_document(doc) == []
+    # the checker's tolerance after 20,000 terms summing to about 10 in
+    # absolute value is about 2e-11
+    doc["result"]["checkpoints"][-1]["value"] += 1e-7
+    issues = checks.check_document(doc)
+    assert len(issues) == 1 and issues[0].startswith("partial sum at ")
+
+
 def test_matrix_is_complete():
     assert set(GOLDENS) == {(s, c) for s in catalog_names() for c in CONSTRUCTIONS}
     assert set(FLAGS) == set(CONSTRUCTIONS)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
+    jobs = _perfbench_module("jobs")
     assert tuple(jobs.SEQUENCE_CONSTRUCTIONS) == tuple(CONSTRUCTIONS)
 
 

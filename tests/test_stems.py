@@ -147,9 +147,9 @@ def test_prefix_bijection_check():
 
 def test_selection_stem():
     word = SelectionStem.from_word("10110")
-    assert word.bits == (1, 0, 1, 1, 0)
+    assert word.bits.tolist() == [1, 0, 1, 1, 0]
     assert word.ones_positions() == (1, 3, 4)
-    assert SelectionStem.ones(3).bits == (1, 1, 1)
+    assert SelectionStem.ones(3).bits.tolist() == [1, 1, 1]
     with pytest.raises(ValueError):
         SelectionStem((1, 2))
 
@@ -169,6 +169,27 @@ def test_selection_stem_keeps_one_read_only_word():
             SelectionStem(bad)
 
 
+def test_a_selection_stem_from_an_array_equals_the_one_from_a_tuple():
+    bits = (1, 0, 0, 1, 1, 0, 1)
+    array = np.array(bits)
+    from_array, from_tuple = SelectionStem(array), SelectionStem(bits)
+    assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+    array[0] = 0  # the stem keeps a copy, not the caller's array
+    assert from_array == from_tuple
+    word = from_array.to_numpy()
+    assert word.dtype == np.int64 and not word.flags.writeable
+    with pytest.raises(ValueError):
+        word[0] = 0
+    with pytest.raises(AttributeError):
+        from_array.bits = np.zeros(7, dtype=np.int64)
+    for bad in [np.array([1, 2]), (1, 2), np.array([[0, 1]])]:
+        with pytest.raises(ValueError, match=r"^selection stems are words over \{0, 1\}$"):
+            SelectionStem(bad)
+    ones = SelectionStem.ones(5)
+    assert ones == SelectionStem((1,) * 5) and hash(ones) == hash(SelectionStem((1,) * 5))
+    assert ones != SelectionStem.ones(4) and SelectionStem() == SelectionStem(np.empty(0))
+
+
 def test_big_stem_stays_cheap():
     stem = SubseqStem.arithmetic(2, 2, 5_000_000)
     assert len(stem) == 5_000_000
@@ -183,6 +204,40 @@ def test_equality_by_values():
     a = SubseqStem.from_values((1, 2, 3, 4))
     b = SubseqStem((IndexRun(1, 1, 2), IndexRun(3, 1, 2)))
     assert a == b
+
+
+@st.composite
+def split_stems(draw):
+    """A stem from its values and the same values with its runs cut into
+    pieces; a one-value piece takes any step (negative in a rearrangement)."""
+    kind = draw(st.sampled_from([SubseqStem, RearrStem]))
+    values = draw(st.lists(st.integers(1, 60), unique=True, max_size=20))
+    if kind is SubseqStem:
+        values.sort()
+    elif draw(st.booleans()):
+        values.sort(reverse=True)
+    stem = kind.from_values(values)
+    steps = st.integers(1, 5) if kind is SubseqStem else st.integers(-5, 5).filter(bool)
+    pieces = []
+    for run in stem.runs:
+        offset = 0
+        while offset < run.count:
+            take = draw(st.integers(1, run.count - offset))
+            step = run.step if take > 1 else draw(steps)
+            pieces.append(IndexRun(run.value_at(offset), step, take))
+            offset += take
+    return stem, kind(pieces)
+
+
+@given(split_stems())
+@example((SubseqStem((IndexRun(2, 2, 1),)), SubseqStem((IndexRun(2, 1, 1),))))
+@example((RearrStem((IndexRun(9, -2, 4),)),
+          RearrStem((IndexRun(9, -2, 2), IndexRun(5, -2, 1), IndexRun(3, 7, 1)))))
+@settings(max_examples=300)
+def test_equal_stems_hash_equal_however_their_runs_are_split(pair):
+    stem, split = pair
+    assert stem == split
+    assert hash(stem) == hash(split)
 
 
 # ---------------------------------------------------------------------------

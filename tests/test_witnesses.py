@@ -257,7 +257,7 @@ def test_rearrangement_alt_harmonic_depth2(alt):
 def test_rearrangement_depth0(alt):
     cert = subseries_to_rearrangement(alt, SubseqStem(()), (), 0)
     assert len(cert.stem) == 0
-    assert cert.checkpoints == ()
+    assert len(cert.checkpoints) == 0
 
 
 def test_rearrangement_rejects_bad_witness(alt):
@@ -554,7 +554,7 @@ def test_verify_rejects_tampering(growing):
         construction=cert.construction,
         series_name=cert.series_name,
         stem=cert.stem,
-        checkpoints=(bad_value,) + cert.checkpoints[1:],
+        checkpoints=(bad_value, *cert.checkpoints[1:]),
         stage_boundaries=cert.stage_boundaries,
         details=cert.details,
     )
