@@ -103,10 +103,35 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _SEGMENT = "is not three ints with a count >= 1 and first and last values inside int64"
 
 
+def _checked_runs(segments: Any) -> list[IndexRun] | None:
+    """The runs of stem segments checked as columns in one numpy pass: three
+    ints each, count >= 1, step != 0, minimum >= 1, inside int64 (a step
+    or count of 2^31 or more, or a start of 2^62 or more, is left to the
+    per-segment check).  None when any segment fails the pass."""
+    if type(segments) is not list or not set(map(type, segments)) <= {list} \
+            or not set(map(type, chain.from_iterable(segments))) <= {int}:
+        return None
+    try:
+        table = np.array(segments, dtype=np.int64).reshape(-1, 3)
+    except (OverflowError, ValueError):
+        return None
+    if table.shape[0] != len(segments):
+        return None
+    start, step, count = table.T
+    small = (count >= 1) & (count < 1 << 31) & (step > -(1 << 31)) & (step < 1 << 31) \
+        & (step != 0) & (start >= 1) & (start < 1 << 62)
+    if not (small & (start + (count - 1) * step >= 1)).all():
+        return None
+    return list(map(IndexRun._trusted, start.tolist(), step.tolist(), count.tolist()))
+
+
 def stem_from_json(data: dict[str, Any]) -> IndexerStem:
     kind = data["kind"]
     if kind == "selection":
         return SelectionStem(_bits_from_rle(data["rle"]))
+    runs = _checked_runs(data["segments"])
+    if runs is not None:
+        return _run_stem(kind, runs)
     runs = []
     for i, segment in enumerate(data["segments"]):
         if not (type(segment) is list and len(segment) == 3
@@ -117,6 +142,10 @@ def stem_from_json(data: dict[str, Any]) -> IndexerStem:
         if count < 1 or not all(_INT64_MIN <= v <= _INT64_MAX for v in (start, last)):
             raise _BadStemField(f"segments[{i}]", _SEGMENT)
         runs.append(IndexRun(start, step, count))
+    return _run_stem(kind, runs)
+
+
+def _run_stem(kind: str, runs: list[IndexRun]) -> SubseqStem | RearrStem:
     if kind == "subseq":
         return SubseqStem(runs)
     if kind == "rearr":

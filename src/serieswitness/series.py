@@ -39,6 +39,7 @@ __all__ = [
 
 _CHUNK = 1 << 20
 _BLOCK = 1 << 15
+_EXACT = 1 << 53  # float64 holds every integer below this
 
 
 class UnknownSeries(ValueError):
@@ -51,12 +52,16 @@ class HorizonExceedsStem(ValueError):
 
 @dataclass(frozen=True)
 class SeriesOracle:
-    """Deterministic columnar term rule plus declared growth metadata.
+    """Deterministic term declaration plus declared growth metadata.
 
-    `rule` maps an int64 array of series indices to the coordinate array
-    and the coefficient array of those terms: every term is one
-    coefficient on one coordinate (always coordinate 1 on the real line),
-    and sequence-space series carry the sup norm.
+    Every term is one coefficient on one coordinate (always coordinate 1 on
+    the real line), and sequence-space series carry the sup norm.  The term
+    at index n is declared once: `coordinate` maps int64 indices to their
+    coordinates, `magnitude` turns a float64 array of indices into the term
+    norms in place, and an `alternating` series negates the terms at odd
+    indices, so its coefficient is (-1)^n times the magnitude.  `columns`
+    evaluates the declaration at any indices; `run_coefficients` evaluates
+    it along an arithmetic run without making the indices as integers.
 
     The metadata flags are claims made by the catalog entry, consumed as
     preconditions by the witness constructions: liminf_norm_zero says the
@@ -74,7 +79,9 @@ class SeriesOracle:
     description: str
     liminf_norm_zero: bool
     limsup_norm_infinite: bool
-    rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    coordinate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    magnitude: Callable[[np.ndarray], object] = field(repr=False)
+    alternating: bool
     candidates: Callable[[int], SubseqStem] = field(repr=False)
 
     @property
@@ -89,10 +96,37 @@ class SeriesOracle:
 
     def columns(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates and coefficients of the terms at the given indices."""
-        return self.rule(np.asarray(indices, dtype=np.int64))
+        n = np.asarray(indices, dtype=np.int64)
+        coeffs = self._magnitudes(n)
+        if self.alternating:
+            coeffs *= _signs(n)
+        return self.coordinate(n), coeffs
 
     def term_norms(self, indices: np.ndarray) -> np.ndarray:
-        return np.abs(self.columns(indices)[1])
+        return self._magnitudes(np.asarray(indices, dtype=np.int64))
+
+    def _magnitudes(self, n: np.ndarray) -> np.ndarray:
+        norms = n.astype(np.float64)
+        self.magnitude(norms)
+        return norms
+
+    def run_coefficients(self, first: int, step: int, count: int) -> np.ndarray:
+        """The coefficients `columns` gives at first, first + step, ...
+        (count indices), bit for bit: one float64 arange, one in-place
+        magnitude call, and the odd indices negated in place, which are all
+        of the run or none when the step is even and every other entry when
+        it is odd.  float64 holds every integer below 2^53 exactly, so the
+        arange is the int64 -> float64 conversion only there; a run that
+        reaches 2^53 takes the index form."""
+        stop = first + count * step
+        if max(abs(first), abs(stop)) >= _EXACT:
+            return self.columns(_indices(first, step, count))[1]
+        out = np.arange(first, stop, step, dtype=np.float64)
+        self.magnitude(out)
+        if self.alternating and (step % 2 or first % 2):
+            odd = out[(first + 1) % 2::2] if step % 2 else out
+            np.negative(odd, out=odd)
+        return out
 
 
 def _signs(n: np.ndarray) -> np.ndarray:
@@ -105,9 +139,15 @@ def _on_line(n: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.int64(1), n.shape)
 
 
-def _decaying_signed(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = (n + 1) // 2
-    return m, _signs(n) / m
+def _reciprocal(x: np.ndarray) -> None:
+    np.divide(1.0, x, out=x)
+
+
+def _reciprocal_half_up(x: np.ndarray) -> None:
+    """1 / ceil(n / 2), exact for every index float64 holds exactly."""
+    np.multiply(x, 0.5, out=x)
+    np.ceil(x, out=x)
+    np.divide(1.0, x, out=x)
 
 
 _CATALOG: dict[str, SeriesOracle] = {
@@ -117,7 +157,9 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n / n, the canonical conditionally convergent real series",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
-        rule=lambda n: (_on_line(n), _signs(n) / n),
+        coordinate=_on_line,
+        magnitude=_reciprocal,
+        alternating=True,
         candidates=lambda h: SubseqStem.arithmetic(2, 2, h // 2),
     ),
     "unit-basis-c0": SeriesOracle(
@@ -129,7 +171,9 @@ _CATALOG: dict[str, SeriesOracle] = {
         ),
         liminf_norm_zero=False,
         limsup_norm_infinite=False,
-        rule=lambda n: (n, np.ones(n.shape)),
+        coordinate=lambda n: n,
+        magnitude=lambda x: x.fill(1.0),
+        alternating=False,
         candidates=lambda h: SubseqStem.arithmetic(1, 1, min(h, 1)),
     ),
     "decaying-signed-c0": SeriesOracle(
@@ -138,7 +182,9 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n e_ceil(n/2) / ceil(n/2) under the sup norm",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
-        rule=_decaying_signed,
+        coordinate=lambda n: (n + 1) // 2,
+        magnitude=_reciprocal_half_up,
+        alternating=True,
         candidates=lambda h: SubseqStem.arithmetic(2, 1, int(h >= 2)),
     ),
     "growing-real": SeriesOracle(
@@ -147,7 +193,9 @@ _CATALOG: dict[str, SeriesOracle] = {
         description="x_n = (-1)^n * n, term norms blow up",
         liminf_norm_zero=False,
         limsup_norm_infinite=True,
-        rule=lambda n: (_on_line(n), _signs(n) * n),
+        coordinate=_on_line,
+        magnitude=lambda x: x,
+        alternating=True,
         candidates=lambda h: SubseqStem.arithmetic(2, 2, h // 2),
     ),
 }
@@ -201,10 +249,6 @@ def _index_chunks(
 
 def _indices(first: int, step: int, count: int) -> np.ndarray:
     return np.arange(first, first + count * step, step, dtype=np.int64)
-
-
-def _weighted(coeffs: np.ndarray, bits: np.ndarray | None) -> np.ndarray:
-    return coeffs if bits is None else coeffs * bits
 
 
 def _cover_max(
@@ -284,7 +328,7 @@ def _packed_norms(
     series: SeriesOracle, pieces: list[tuple[int, int, int]], running: float
 ) -> tuple[np.ndarray, float]:
     """Norms over consecutive chunks (first, step, count) of a run stem in
-    one block, and the running sum after them: one term-rule call for all
+    one block, and the running sum after them: one `columns` call for all
     of them, with each chunk's arithmetic the same as on its own.  The
     indices are made straight from the triples as one (chunks x longest)
     array, whose padding is never evaluated.  The in-chunk sums are one
@@ -310,11 +354,11 @@ def _norm_chunks(
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
     of the arithmetic that norms_at and crossing_scan share.  A long chunk is
-    evaluated in blocks of _BLOCK terms, each block making only its own
-    indices, and each block's cumsum starting from the in-chunk sum so far:
-    the values stay the same bit for bit, the temporaries stay in cache,
-    and a scan that stops inside a chunk has paid for no more than its
-    blocks.  Short chunks of a run stem are packed into one block while
+    evaluated in blocks of _BLOCK terms, each block's terms made a run at a
+    time (SeriesOracle.run_coefficients) and its cumsum starting from the
+    in-chunk sum so far, which is added into its first term: the values stay
+    the same bit for bit, the temporaries stay in cache, and a scan that
+    stops inside a chunk has paid for no more than its blocks.  Short chunks of a run stem are packed into one block while
     (chunks x longest chunk) stays within _BLOCK (see _packed_norms), with
     the same values."""
     running = 0.0
@@ -324,7 +368,9 @@ def _norm_chunks(
     for first, step, count, bits in _index_chunks(indexer, horizon):
         if not series.is_scalar:
             coords, coeffs = series.columns(_indices(first, step, count))
-            norms, keys, held = _sup_chunk(coords, _weighted(coeffs, bits), keys, held)
+            if bits is not None:
+                coeffs *= bits
+            norms, keys, held = _sup_chunk(coords, coeffs, keys, held)
             yield norms
             continue
         if packed and (len(packed) + 1) * max(width, count) > _BLOCK:
@@ -337,11 +383,12 @@ def _norm_chunks(
             continue
         for lo in range(0, count, _BLOCK):
             n = min(_BLOCK, count - lo)
-            terms = _weighted(
-                series.columns(_indices(first + lo * step, step, n))[1],
-                None if bits is None else bits[lo:lo + n],
-            )
-            csum = np.cumsum(np.concatenate(([carry], terms)))[1:] if lo else np.cumsum(terms)
+            terms = series.run_coefficients(first + lo * step, step, n)
+            if bits is not None:
+                terms *= bits[lo:lo + n]
+            if lo:
+                terms[0] += carry
+            csum = np.cumsum(terms, out=terms)
             carry = csum[-1]
             csum += running
             yield np.abs(csum, out=csum)

@@ -23,6 +23,15 @@ class IndexRun:
     step: int
     count: int
 
+    @classmethod
+    def _trusted(cls, start: int, step: int, count: int) -> "IndexRun":
+        """A run whose fields are already known to pass __post_init__."""
+        run = object.__new__(cls)
+        object.__setattr__(run, "start", start)
+        object.__setattr__(run, "step", step)
+        object.__setattr__(run, "count", count)
+        return run
+
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("run count must be >= 1")
@@ -57,27 +66,43 @@ class IndexRun:
 def compress_values(values: Sequence[int] | np.ndarray) -> tuple[IndexRun, ...]:
     """Split a sequence of indices into arithmetic runs.
 
-    Groups are cut wherever the consecutive difference changes, which is
-    deterministic and linear; repeated values surface as zero steps and
-    are rejected by IndexRun.
+    The split rule, which every run list of the package follows: read the
+    consecutive differences as a run-length code; the first run takes the
+    first value and every difference of the first code entry, and each
+    later entry starts a run one value after the change of difference,
+    holding as many values as the entry has differences.  A run of one
+    value is stored with step 1.  The rule is deterministic and linear;
+    repeated values surface as zero steps and are rejected by IndexRun.
     """
     arr = np.asarray(values, dtype=np.int64)
-    n = int(arr.size)
-    if n == 0:
+    if arr.size == 0:
         return ()
-    if n == 1:
-        return (IndexRun(int(arr[0]), 1, 1),)
     diffs = np.diff(arr)
-    if n == 2:
-        return (IndexRun(int(arr[0]), int(diffs[0]), 2),)
-    splits = np.flatnonzero(diffs[1:] != diffs[:-1]) + 2
-    bounds = [0, *splits.tolist(), n]
-    runs = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        count = e - s
-        step = int(diffs[s]) if count > 1 else 1
-        runs.append(IndexRun(int(arr[s]), step, count))
-    return tuple(runs)
+    starts = _code_starts(diffs)
+    lengths = np.diff(np.append(starts, diffs.size))
+    split = _split(int(arr[0]), diffs[starts], lengths)
+    return tuple(map(IndexRun, *(column.tolist() for column in split)))
+
+
+def _code_starts(diffs: np.ndarray) -> np.ndarray:
+    """Where each entry of the run-length code of `diffs` starts."""
+    if diffs.size == 0:
+        return diffs
+    return np.flatnonzero(np.concatenate(([True], diffs[1:] != diffs[:-1])))
+
+
+def _split(
+    first: int, diffs: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, steps, counts) of the runs compress_values makes of the
+    sequence that starts at `first` and whose differences are diffs[r]
+    repeated lengths[r] times, with no two adjacent diffs equal."""
+    if diffs.size == 0:
+        return np.array([first]), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    ends = first + np.cumsum(diffs * lengths)
+    starts = np.concatenate(([first], ends[:-1] + diffs[1:]))
+    counts = np.concatenate(([lengths[0] + 1], lengths[1:]))
+    return starts, np.where(counts > 1, diffs, 1), counts
 
 
 def _normalized(run: IndexRun) -> tuple[int, int, int]:
@@ -416,15 +441,100 @@ IndexerStem = SelectionStem | SubseqStem | RearrStem
 
 
 def missing_below(stem: _RunStem, bound: int) -> tuple[IndexRun, ...]:
-    """Runs listing {1..bound} minus the stem's values, in increasing order."""
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[0] = False
-    for run in stem.runs:
-        first, step, count = _normalized(run)
-        last = min(first + (count - 1) * step, bound)
-        mask[first:last + 1:step] = False
-    absent = np.flatnonzero(mask).astype(np.int64)
-    return compress_values(absent)
+    """Runs listing {1..bound} minus the stem's values, in increasing order,
+    split as compress_values splits them.
+
+    The runs' value ranges cut 1..bound into segments, each inside the same
+    runs throughout, and each segment gives its missing values as pieces:
+    all of it where no run is active, nothing under one run of step 1, the
+    other parity under one run of step 2.  Only the segments where runs
+    overlap or a single run has step 3 or more are made as a mask, one of
+    their total length.  The pieces are then merged by the run-length code
+    of their differences, so nothing is allocated in proportion to the
+    bound."""
+    starts, steps, counts = np.array(
+        [(run.start, run.step, run.count) for run in stem.runs], dtype=np.int64
+    ).reshape(-1, 3).T
+    firsts = np.where(steps > 0, starts, starts + (counts - 1) * steps)
+    steps = np.abs(steps)
+    below = firsts <= bound
+    firsts, steps = firsts[below], steps[below]
+    ends = firsts + np.minimum(counts[below], (bound - firsts) // steps + 1) * steps - steps + 1
+    cuts = np.sort(np.concatenate(([1, max(bound, 0) + 1], firsts, ends)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    lo, hi = cuts[:-1], cuts[1:]
+    by_first, by_end = np.argsort(firsts, kind="stable"), np.argsort(ends, kind="stable")
+    opened = np.searchsorted(firsts[by_first], lo, side="right")
+    closed = np.searchsorted(ends[by_end], lo, side="right")
+    active = opened - closed
+    # the one active run of a segment is the sum of the open runs' indices
+    who = (np.concatenate(([0], np.cumsum(by_first)))[opened]
+           - np.concatenate(([0], np.cumsum(by_end)))[closed])
+    alone = np.where(active == 1, who, -1)
+    lone_step = np.append(steps, 0)[alone]  # 0 where not exactly one run is active
+    free = active == 0
+    other = lone_step == 2
+    start = lo[other] + ((lo[other] - firsts[alone[other]]) % 2 == 0)
+    pieces = [
+        (lo[free], np.ones_like(lo[free]), hi[free] - lo[free]),
+        (start, np.full_like(start, 2), (hi[other] - start + 1) // 2),
+    ]
+    dense = (active > 1) | (lone_step > 2)
+    values = _unheld(lo[dense], hi[dense], firsts, steps, ends)
+    pieces.append((values, np.ones_like(values), np.ones_like(values)))
+    return _merged(*(np.concatenate(column) for column in zip(*pieces)))
+
+
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[i] - 1 for each i in turn, as one array."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _unheld(
+    lo: np.ndarray, hi: np.ndarray, firsts: np.ndarray, steps: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """The values of the segments [lo[j], hi[j]) that no progression
+    (firsts[i], steps[i] > 0, up to ends[i]) holds, through one mask over
+    the segments laid end to end.  Every first and end is a segment
+    boundary or outside the segments, so progression i meets exactly the
+    segments that start in [firsts[i], ends[i])."""
+    lengths = hi - lo
+    offsets = np.cumsum(lengths) - lengths
+    a, b = np.searchsorted(lo, firsts), np.searchsorted(lo, ends)
+    run = np.repeat(np.arange(firsts.size), b - a)
+    seg = a[run] + _ragged(b - a)
+    step = steps[run]
+    start = firsts[run] - (firsts[run] - lo[seg]) // step * step
+    count = np.maximum(-(-(np.minimum(hi[seg], ends[run]) - start) // step), 0)
+    pair = np.repeat(np.arange(run.size), count)
+    mask = np.ones(lengths.sum(), dtype=bool)
+    mask[start[pair] + _ragged(count) * step[pair] - lo[seg][pair] + offsets[seg][pair]] = False
+    free = np.flatnonzero(mask)
+    where = np.searchsorted(offsets, free, side="right") - 1
+    return free - offsets[where] + lo[where]
+
+
+def _merged(firsts: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> tuple[IndexRun, ...]:
+    """The runs compress_values makes of the concatenated values of the
+    progressions (firsts[i], steps[i] > 0, counts[i]), taken in order of
+    their first values, read off the run-length code of their differences:
+    each piece's own step counts - 1 times, then the gap to the next piece.
+    The values increase, so the runs are valid without a check."""
+    keep = counts > 0
+    order = np.argsort(firsts[keep], kind="stable")
+    firsts, steps, counts = firsts[keep][order], steps[keep][order], counts[keep][order]
+    if firsts.size == 0:
+        return ()
+    lasts = firsts + (counts - 1) * steps
+    diffs = np.empty(2 * firsts.size - 1, dtype=np.int64)
+    lengths = np.ones_like(diffs)
+    diffs[0::2], lengths[0::2] = steps, counts - 1
+    diffs[1::2] = firsts[1:] - lasts[:-1]
+    diffs, lengths = diffs[lengths > 0], lengths[lengths > 0]
+    starts = _code_starts(diffs)
+    lengths = np.add.reduceat(lengths, starts) if starts.size else lengths
+    split = _split(int(firsts[0]), diffs[starts], lengths)
+    return tuple(map(IndexRun._trusted, *(column.tolist() for column in split)))
 
 
 def extend_to_prefix_bijection(stem: RearrStem) -> RearrStem:

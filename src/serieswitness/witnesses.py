@@ -455,8 +455,9 @@ def grow_unbounded_subseries(
     while count < len(stream):
         lo = (stream.value_at(count + 1) - 1) // _BLOCK * _BLOCK
         end = stream.first_position_above(lo + _BLOCK) or len(stream) + 1
-        idx = np.concatenate([run.to_numpy() for run in stream.slice_runs(count + 1, end - 1)])
-        csum = np.cumsum(series.columns(idx)[1])
+        terms = np.concatenate([series.run_coefficients(run.start, run.step, run.count)
+                                for run in stream.slice_runs(count + 1, end - 1)])
+        csum = np.cumsum(terms, out=terms)
         values = np.abs(running + csum)
         if pending is None:
             b = float(values[0])
@@ -494,7 +495,7 @@ def grow_unbounded_subseries(
                 details=(("target", float(target)),) + strategy,
             )
         running = float(running + csum[-1])
-        count += idx.size
+        count += csum.size
     raise ScanExhausted(
         "grow-subseries",
         f"target {target:g} not reached",

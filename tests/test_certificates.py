@@ -222,6 +222,60 @@ def reference_bits_to_rle(bits):
     return out
 
 
+def reference_stem_from_json(data):
+    """The per-segment loop stem_from_json falls back to: it names the first
+    segment out of shape and leaves the rest to IndexRun and the stem."""
+    runs = []
+    for i, segment in enumerate(data["segments"]):
+        if not (type(segment) is list and len(segment) == 3
+                and all(type(v) is int for v in segment)):
+            raise ValueError(f"segments[{i}]")
+        start, step, count = segment
+        last = start + (count - 1) * step
+        if count < 1 or not all(-(2**63) <= v < 2**63 for v in (start, last)):
+            raise ValueError(f"segments[{i}]")
+        runs.append(IndexRun(start, step, count))
+    return (SubseqStem if data["kind"] == "subseq" else RearrStem)(runs)
+
+
+_segment_values = (st.integers(-3, 40) | st.sampled_from([2**31, -(2**31), 2**62, 2**63 - 1,
+                                                          2**63, 10**30]))
+_segments = st.lists(
+    st.lists(_segment_values, min_size=3, max_size=3)
+    | st.lists(st.integers(1, 9), min_size=2, max_size=4)
+    | st.tuples(st.integers(1, 9), st.integers(1, 3), st.integers(1, 3))
+    | st.lists(st.sampled_from([True, 1.5, "1", None, 3]), min_size=3, max_size=3),
+    max_size=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["subseq", "rearr"]), _segments)
+@example("rearr", [[3, -2, 3]])
+@example("rearr", [[5, 0, 1]])
+@example("subseq", [[2, 1, 2], [4, 2**31, 0]])
+@example("rearr", [[2**63 - 1, -(2**62), 3]])
+def test_stem_segments_decode_as_the_loop_does(kind, segments):
+    data = {"kind": kind, "segments": segments}
+    try:
+        expected = reference_stem_from_json(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            stem_from_json(data)
+        # a segment out of shape is named; IndexRun and the stem speak for
+        # the others
+        assert str(raised.value.args[0]) == str(exc.args[0])
+    else:
+        got = stem_from_json(data)
+        assert type(got) is type(expected) and got.runs == expected.runs
+
+
+def test_stem_segments_past_the_columnar_screen_still_decode():
+    huge = 2**62 + 5
+    stem = stem_from_json({"kind": "subseq", "segments": [[1, 2**31, 2], [huge, 1, 3]]})
+    assert stem.runs == (IndexRun(1, 2**31, 2), IndexRun(huge, 1, 3))
+
+
 def reference_bits_from_rle(rle):
     bits = []
     for b, count in rle:

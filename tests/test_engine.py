@@ -228,6 +228,68 @@ def test_catalog_terms_match_their_formulas():
 
 
 # ---------------------------------------------------------------------------
+# terms a run at a time
+
+RUN_STEPS = [1, -1, 2, -2, 3, -3, 4]
+RUN_FIRSTS = [(4 << 20) + 7, (4 << 20) + 8]  # odd, even; room for descending runs
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "growing-real"])
+@pytest.mark.parametrize("step", RUN_STEPS)
+@pytest.mark.parametrize("first", RUN_FIRSTS)
+@pytest.mark.parametrize("count", [1, 2, 3, (1 << 15) + 3, (1 << 20) + 5])
+def test_run_form_equals_the_index_form(name, step, first, count):
+    series = catalog_series(name)
+    got = series.run_coefficients(first, step, count)
+    assert got.size == count
+    idx = np.arange(first, first + count * step, step, dtype=np.int64)
+    assert_bitwise_equal(got, series.columns(idx)[1])
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "growing-real"])
+@pytest.mark.parametrize("step", RUN_STEPS)
+@pytest.mark.parametrize("first", RUN_FIRSTS)
+def test_engine_on_one_run_across_blocks_and_chunks(name, step, first):
+    series = catalog_series(name)
+    stem = RearrStem((IndexRun(first, step, (1 << 20) + (1 << 15) + 5),))
+    horizon = len(stem)
+    assert_bitwise_equal(
+        prefix_norms(series, stem, horizon), reference_scalar_norms(series, stem, horizon)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**53 + 50), st.sampled_from(RUN_STEPS), st.integers(1, 3_000))
+def test_the_run_form_makes_count_terms(first, step, count):
+    # growing-real's coefficients are the signed indices themselves
+    series = catalog_series("growing-real")
+    got = series.run_coefficients(first, step, count)
+    assert got.size == count
+    idx = np.arange(first, first + count * step, step, dtype=np.int64)
+    assert_bitwise_equal(got, series.columns(idx)[1])
+
+
+def test_a_float_arange_past_2_53_is_not_the_integer_conversion():
+    # so runs that reach 2^53 must take the index form
+    first = 2**53 + 1
+    naive = np.arange(first, first + 4, 1, dtype=np.float64)
+    assert not np.array_equal(naive, np.arange(first, first + 4).astype(np.float64))
+
+
+@pytest.mark.parametrize("name", ["alt-harmonic", "growing-real"])
+@pytest.mark.parametrize(
+    "first, step", [(2**53 - 5, 1), (2**53 - 20, 3), (2**53 + 1, 1), (2**53 + 3, -2),
+                    (2**60 + 1, 3), (2**60 + 2, -1)],
+)
+def test_runs_reaching_2_53_take_the_index_form(name, first, step):
+    series = catalog_series(name)
+    idx = np.arange(first, first + 40 * step, step, dtype=np.int64)
+    assert_bitwise_equal(series.run_coefficients(first, step, 40), series.columns(idx)[1])
+    stem = RearrStem((IndexRun(first, step, 40),))
+    assert_bitwise_equal(prefix_norms(series, stem, 40), reference_scalar_norms(series, stem, 40))
+
+
+# ---------------------------------------------------------------------------
 # the cache-blocked scalar engine
 
 
@@ -369,14 +431,15 @@ def test_short_runs_share_one_term_rule_call():
 
 
 def counting(series):
-    """The series with a rule that counts the indices it evaluates."""
+    """The series with a magnitude that counts the indices it evaluates:
+    every term evaluation, by index or by run, makes one magnitude call."""
     seen = []
 
-    def rule(n):
-        seen.append(n.size)
-        return series.rule(n)
+    def magnitude(x):
+        seen.append(x.size)
+        return series.magnitude(x)
 
-    return dataclasses.replace(series, rule=rule), seen
+    return dataclasses.replace(series, magnitude=magnitude), seen
 
 
 def test_first_crossing_and_max_norm_in_the_second_block_of_the_second_chunk():

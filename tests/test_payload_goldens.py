@@ -7,7 +7,8 @@ Every cell writes a document, exhaustion cells (exit 2) included, and every
 cell is listed.  Each document is written and loaded once more, and the
 second copy must hash the same.  Each cell's document also passes the
 independent checker of perfbench/checks.py, which recomputes every value
-without importing serieswitness.
+without importing serieswitness.  One deep cell past the matrix
+(DEEP_CELL) sums far enough to cross the engine's blocks and chunks.
 
 To re-pin after an intended payload change (which also bumps
 `schema_version`), print the digests with
@@ -82,6 +83,16 @@ GOLDENS = {
 }
 
 
+# One deep cell past the matrix: the depth-3 rearrangement of alt-harmonic
+# at horizon 3e6 sums runs of 872 and 1,412,739 terms, so its values cross
+# the 2^15-term blocks and the 2^20-term chunks of the engine, which no
+# matrix cell reaches.  (series, construction, flags, horizon) -> (exit
+# code, sha256, checkpoint positions, stage boundaries).
+DEEP_CELL = ("alt-harmonic", "rearrangement", ["--depth", "3"], "3000000")
+DEEP_GOLDEN = (0, '1ec1ead314e23113d14a00f5aa4b5f003a77b147c1b5ed9174d8d1842110a965',
+               [4, 880, 1_414_491], [8, 1752, 2_827_230])
+
+
 def digest_of(path):
     return hashlib.sha256(payload_without_timing(load_document(str(path))).encode()).hexdigest()
 
@@ -99,6 +110,18 @@ def test_payload_is_pinned(tmp_path, cell):
     assert run_cell(*cell, tmp_path / "doc.json") == GOLDENS[cell]
     write_document(load_document(str(tmp_path / "doc.json")), str(tmp_path / "again.json"))
     assert digest_of(tmp_path / "again.json") == GOLDENS[cell][1]
+
+
+def test_deep_cell_is_pinned_and_passes_the_independent_checker(tmp_path):
+    series, construction, flags, horizon = DEEP_CELL
+    out = tmp_path / "doc.json"
+    code = main(["run", "--series", series, "--construction", construction,
+                 "--horizon", horizon, *flags, "--out", str(out)])
+    doc = load_document(str(out))
+    result = doc["result"]
+    assert (code, digest_of(out), [c["position"] for c in result["checkpoints"]],
+            result["stage_boundaries"]) == DEEP_GOLDEN
+    assert _perfbench_module("checks").check_document(doc) == []
 
 
 def _perfbench_module(name):

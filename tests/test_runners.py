@@ -141,17 +141,18 @@ def test_grow_reads_the_stream_in_the_windows_of_the_mask_scan(name, target, hor
 @pytest.fixture
 def work(monkeypatch):
     """A counting copy of alt-harmonic, handed to the registry, and the work
-    it sees: positions the partial-sum engine streams, term-rule calls and
-    the terms those calls evaluate (the engine's and the provisioning's)."""
+    it sees: positions the partial-sum engine streams, term evaluations (one
+    magnitude call each, by index or by run) and the terms those calls
+    evaluate (the engine's and the provisioning's)."""
     seen = {"positions": 0, "calls": 0, "terms": 0}
     alt = catalog_series("alt-harmonic")
 
-    def rule(n):
+    def magnitude(x):
         seen["calls"] += 1
-        seen["terms"] += n.size
-        return alt.rule(n)
+        seen["terms"] += x.size
+        return alt.magnitude(x)
 
-    counted = dataclasses.replace(alt, rule=rule)
+    counted = dataclasses.replace(alt, magnitude=magnitude)
     engine = series_module._norm_chunks
 
     def streamed(*args):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,88 @@ def test_missing_below_matches_the_scatter(runs, bound):
     # runs of either direction, below, across and past the bound
     stem = RearrStem(disjoint_runs(runs))
     assert missing_below(stem, bound) == reference_missing_below(stem, bound)
+
+
+def mask_missing_below(stem, bound):
+    """missing_below as a mask of its bound, one strided slice per run."""
+    mask = np.ones(bound + 1, dtype=bool)
+    mask[0] = False
+    for run in stem.runs:
+        first, step, count = (run.start, run.step, run.count) if run.step > 0 else (
+            run.last, -run.step, run.count)
+        last = min(first + (count - 1) * step, bound)
+        mask[first:last + 1:step] = False
+    return compress_values(np.flatnonzero(mask).astype(np.int64))
+
+
+@st.composite
+def overlapping_stems(draw):
+    """Injective stems whose runs share value ranges: residue classes of one
+    modulus over overlapping spans, runs of either direction and of one
+    value, and a few runs anywhere."""
+    runs = []
+    modulus = draw(st.integers(2, 5))
+    for residue in draw(st.lists(st.integers(0, modulus - 1), unique=True, max_size=modulus)):
+        low = draw(st.integers(0, 6)) * modulus + residue + modulus
+        count = draw(st.integers(1, 40))
+        run = IndexRun(low, modulus, count)
+        runs.append(IndexRun(run.last, -modulus, count) if draw(st.booleans()) else run)
+    runs += draw(st.lists(index_runs(), max_size=4))
+    runs += [IndexRun(v, 1, 1) for v in draw(st.lists(st.integers(1, 250), max_size=4))]
+    stem = RearrStem(disjoint_runs(draw(st.permutations(runs))))
+    top = stem.max_value
+    bound = draw(st.sampled_from([0, 1, top // 2, top, top + 7]) | st.integers(0, top + 20))
+    return stem, bound
+
+
+@given(overlapping_stems())
+@example((RearrStem(()), 0))
+@example((RearrStem(()), 9))
+@example((RearrStem((IndexRun(6, 2, 1), IndexRun(1, 2, 4))), 12))
+@example((RearrStem((IndexRun(20, -2, 8), IndexRun(5, 2, 9))), 30))
+@settings(max_examples=1_000, deadline=None)
+def test_missing_below_matches_the_mask(drawn):
+    stem, bound = drawn
+    assert missing_below(stem, bound) == mask_missing_below(stem, bound)
+
+
+@st.composite
+def progressions(draw):
+    """Progressions (first, step, count) whose values increase from one to
+    the next, some of them empty, in a drawn order."""
+    pieces, low = [], draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(0, 12))):
+        step, count = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+        pieces.append((low, step, count))
+        low += max(count - 1, 0) * step + draw(st.integers(1, 4))
+    return draw(st.permutations(pieces))
+
+
+@given(progressions())
+@settings(max_examples=500)
+def test_merged_pieces_split_as_compress_values(pieces):
+    firsts, steps, counts = np.array(pieces, dtype=np.int64).reshape(-1, 3).T
+    values = [f + i * s for f, s, c in sorted(pieces) for i in range(c)]
+    assert stems_module._merged(firsts, steps, counts) == compress_values(values)
+
+
+def test_closing_the_depth_3_prefix_allocates_no_mask():
+    # p' of depth 3 on alt-harmonic up to its third crossing, at 1,414,491,
+    # closed into a permutation of 1..2,827,230: the mask was 2.8 MB and its
+    # list of missing values 11 MB
+    from serieswitness import catalog_series, rearrangement_pipeline
+
+    cert = rearrangement_pipeline(catalog_series("alt-harmonic"), 3, 3_000_000)
+    prefix = cert.stem.prefix(1_414_491)
+    assert len(prefix.runs) == 5
+    tracemalloc.start()
+    try:
+        missing = missing_below(prefix, 2_827_230)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert missing == (IndexRun(1_753, 2, 1_412_739),)
+    assert peak_bytes < 1 << 20
 
 
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
