@@ -18,7 +18,6 @@ from .spaces import (
     sequence_space,
 )
 from .stems import (
-    IndexRun,
     RearrStem,
     SelectionStem,
     SubseqStem,

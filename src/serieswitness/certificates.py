@@ -30,7 +30,6 @@ from .runners import execute_config, resolve_config
 from .series import catalog_series, partial_sums
 from .stems import (
     IndexerStem,
-    IndexRun,
     RearrStem,
     SelectionStem,
     SubseqStem,
@@ -95,57 +94,42 @@ def stem_to_json(stem: IndexerStem) -> dict[str, Any]:
     kind = "subseq" if isinstance(stem, SubseqStem) else "rearr"
     return {
         "kind": kind,
-        "segments": [[r.start, r.step, r.count] for r in stem.runs],
+        "segments": stem.runs.tolist(),
     }
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_SEGMENT = "is not three ints with a count >= 1 and first and last values inside int64"
+_SEGMENT = "is not three ints inside int64 with a count >= 1 and a last value inside int64"
+# what a segment that is not a list of three ints is screened as: no run
+_NO_RUN = [1, 1, 0]
 
 
-def _checked_runs(segments: Any) -> list[IndexRun] | None:
-    """The runs of stem segments checked as columns in one numpy pass: three
-    ints each, count >= 1, step != 0, minimum >= 1, inside int64 (a step
-    or count of 2^31 or more, or a start of 2^62 or more, is left to the
-    per-segment check).  None when any segment fails the pass."""
-    if type(segments) is not list or not set(map(type, segments)) <= {list} \
-            or not set(map(type, chain.from_iterable(segments))) <= {int}:
-        return None
-    try:
-        table = np.array(segments, dtype=np.int64).reshape(-1, 3)
-    except (OverflowError, ValueError):
-        return None
-    if table.shape[0] != len(segments):
-        return None
-    start, step, count = table.T
-    small = (count >= 1) & (count < 1 << 31) & (step > -(1 << 31)) & (step < 1 << 31) \
-        & (step != 0) & (start >= 1) & (start < 1 << 62)
-    if not (small & (start + (count - 1) * step >= 1)).all():
-        return None
-    return list(map(IndexRun._trusted, start.tolist(), step.tolist(), count.tolist()))
+def _segment_table(segments: Any) -> np.ndarray:
+    """Stem segments as one (k, 3) int64 run table, screened as columns of
+    Python ints, so nothing wraps: each segment is three ints inside int64
+    with a count >= 1 and a last value first + (count - 1) * step inside
+    int64.  Raises _BadStemField naming the first segment that is not."""
+    if type(segments) is not list:
+        raise _BadStemField("segments", "is not a list")
+    rows = np.array(
+        [s if type(s) is list and len(s) == 3 and type(s[0]) is type(s[1]) is type(s[2]) is int
+         else _NO_RUN for s in segments],
+        dtype=object,
+    ).reshape(-1, 3)
+    first, step, count = rows.T
+    last = first + (count - 1) * step
+    bad = (count < 1) | (last < _INT64_MIN) | (last > _INT64_MAX) \
+        | ((rows < _INT64_MIN) | (rows > _INT64_MAX)).any(axis=1)
+    if bad.any():
+        raise _BadStemField(f"segments[{int(bad.argmax())}]", _SEGMENT)
+    return rows.astype(np.int64)
 
 
 def stem_from_json(data: dict[str, Any]) -> IndexerStem:
     kind = data["kind"]
     if kind == "selection":
         return SelectionStem(_bits_from_rle(data["rle"]))
-    runs = _checked_runs(data["segments"])
-    if runs is not None:
-        return _run_stem(kind, runs)
-    runs = []
-    for i, segment in enumerate(data["segments"]):
-        if not (type(segment) is list and len(segment) == 3
-                and all(type(v) is int for v in segment)):
-            raise _BadStemField(f"segments[{i}]", _SEGMENT)
-        start, step, count = segment
-        last = start + (count - 1) * step
-        if count < 1 or not all(_INT64_MIN <= v <= _INT64_MAX for v in (start, last)):
-            raise _BadStemField(f"segments[{i}]", _SEGMENT)
-        runs.append(IndexRun(start, step, count))
-    return _run_stem(kind, runs)
-
-
-def _run_stem(kind: str, runs: list[IndexRun]) -> SubseqStem | RearrStem:
+    runs = _segment_table(data["segments"])
     if kind == "subseq":
         return SubseqStem(runs)
     if kind == "rearr":
@@ -345,7 +329,7 @@ def document_for_exhaustion(
 
 
 def _exceed_runs(positions: np.ndarray) -> list[list[int]]:
-    return [[r.start, r.step, r.count] for r in compress_values(positions)]
+    return compress_values(positions).tolist()
 
 
 def document_for_verdict(

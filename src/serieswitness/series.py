@@ -238,13 +238,9 @@ def _index_chunks(
         for lo in range(0, bits.size, _CHUNK):
             yield lo + 1, 1, min(_CHUNK, bits.size - lo), bits[lo:lo + _CHUNK]
         return
-    left = horizon
-    for run in indexer.runs:
-        if left <= 0:
-            break
-        for lo in range(0, min(run.count, left), _CHUNK):
-            yield run.value_at(lo), run.step, min(_CHUNK, run.count - lo, left - lo), None
-        left -= run.count
+    for first, step, count in indexer.slice_runs(1, min(max(horizon, 0), len(indexer))).tolist():
+        for lo in range(0, count, _CHUNK):
+            yield first + lo * step, step, min(_CHUNK, count - lo), None
 
 
 def _indices(first: int, step: int, count: int) -> np.ndarray:

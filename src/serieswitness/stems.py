@@ -1,87 +1,67 @@
 """Finite index stems: 0-1 words, increasing index blocks, injective prefixes.
 
 Subsequence and rearrangement stems produced by the witness constructions
-are unions of long arithmetic progressions, so they are stored as runs
-(start, step, count) instead of materialized tuples.  This keeps
-multi-million-entry stems cheap to build, serialize and re-verify.
+are unions of long arithmetic progressions, so they are stored as one run
+table, a row (first, step, count) per run, instead of materialized values.
+Length, lookups, prefixes and comparisons read the table's columns, which
+keeps multi-million-entry stems cheap to build, serialize and re-verify.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class IndexRun:
-    """Arithmetic progression start, start+step, ... of `count` terms."""
-
-    start: int
-    step: int
-    count: int
-
-    @classmethod
-    def _trusted(cls, start: int, step: int, count: int) -> "IndexRun":
-        """A run whose fields are already known to pass __post_init__."""
-        run = object.__new__(cls)
-        object.__setattr__(run, "start", start)
-        object.__setattr__(run, "step", step)
-        object.__setattr__(run, "count", count)
-        return run
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("run count must be >= 1")
-        if self.step == 0:
-            raise ValueError("run step must be nonzero")
-        if self.min_value < 1:
-            raise ValueError("index runs live on positive integers")
-
-    @property
-    def last(self) -> int:
-        return self.start + (self.count - 1) * self.step
-
-    @property
-    def min_value(self) -> int:
-        return min(self.start, self.last)
-
-    @property
-    def max_value(self) -> int:
-        return max(self.start, self.last)
-
-    def value_at(self, offset: int) -> int:
-        return self.start + offset * self.step
-
-    def to_numpy(self) -> np.ndarray:
-        stop = self.start + self.count * self.step
-        return np.arange(self.start, stop, self.step, dtype=np.int64)
-
-    def head(self, count: int) -> "IndexRun":
-        return IndexRun(self.start, self.step, count)
+Runs = np.ndarray | Sequence[Sequence[int]]
 
 
-def compress_values(values: Sequence[int] | np.ndarray) -> tuple[IndexRun, ...]:
-    """Split a sequence of indices into arithmetic runs.
+def _table(runs: Runs) -> np.ndarray:
+    """The runs as a (k, 3) int64 table of rows (first, step, count)."""
+    return np.array(runs, dtype=np.int64).reshape(-1, 3)
 
-    The split rule, which every run list of the package follows: read the
+
+def _lasts(table: np.ndarray) -> np.ndarray:
+    return table[:, 0] + (table[:, 2] - 1) * table[:, 1]
+
+
+def _extremes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's smallest and largest value."""
+    firsts, lasts = table[:, 0], _lasts(table)
+    return np.minimum(firsts, lasts), np.maximum(firsts, lasts)
+
+
+def _checked_rows(table: np.ndarray) -> np.ndarray:
+    """The table, once every row is a run of at least one positive integer
+    with a nonzero step; ValueError otherwise."""
+    if (table[:, 2] < 1).any():
+        raise ValueError("run count must be >= 1")
+    if (table[:, 1] == 0).any():
+        raise ValueError("run step must be nonzero")
+    if (_extremes(table)[0] < 1).any():
+        raise ValueError("index runs live on positive integers")
+    return table
+
+
+def compress_values(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Split a sequence of indices into arithmetic runs, as a run table.
+
+    The split rule, which every run table of the package follows: read the
     consecutive differences as a run-length code; the first run takes the
     first value and every difference of the first code entry, and each
     later entry starts a run one value after the change of difference,
     holding as many values as the entry has differences.  A run of one
     value is stored with step 1.  The rule is deterministic and linear;
-    repeated values surface as zero steps and are rejected by IndexRun.
-    """
+    repeated values surface as zero steps and are rejected."""
     arr = np.asarray(values, dtype=np.int64)
     if arr.size == 0:
-        return ()
+        return _table(())
     diffs = np.diff(arr)
     starts = _code_starts(diffs)
     lengths = np.diff(np.append(starts, diffs.size))
-    split = _split(int(arr[0]), diffs[starts], lengths)
-    return tuple(map(IndexRun, *(column.tolist() for column in split)))
+    return _checked_rows(_split(int(arr[0]), diffs[starts], lengths))
 
 
 def _code_starts(diffs: np.ndarray) -> np.ndarray:
@@ -91,31 +71,47 @@ def _code_starts(diffs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], diffs[1:] != diffs[:-1])))
 
 
-def _split(
-    first: int, diffs: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, steps, counts) of the runs compress_values makes of the
-    sequence that starts at `first` and whose differences are diffs[r]
-    repeated lengths[r] times, with no two adjacent diffs equal."""
+def _split(first: int, diffs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The run table compress_values makes of the sequence that starts at
+    `first` and whose differences are diffs[r] repeated lengths[r] times,
+    with no two adjacent diffs equal."""
     if diffs.size == 0:
-        return np.array([first]), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        return _table((first, 1, 1))
     ends = first + np.cumsum(diffs * lengths)
     starts = np.concatenate(([first], ends[:-1] + diffs[1:]))
     counts = np.concatenate(([lengths[0] + 1], lengths[1:]))
-    return starts, np.where(counts > 1, diffs, 1), counts
+    return np.column_stack((starts, np.where(counts > 1, diffs, 1), counts))
 
 
-def _normalized(run: IndexRun) -> tuple[int, int, int]:
+def _resplit(table: np.ndarray) -> np.ndarray:
+    """The table compress_values makes of the values of `table`'s runs in
+    order, read off the run-length code of their differences: each run's
+    own step count - 1 times, then the gap to the next run.  Two tables
+    hold the same values exactly when their resplit tables are equal."""
+    if table.shape[0] == 0:
+        return table
+    diffs = np.empty(2 * table.shape[0] - 1, dtype=np.int64)
+    lengths = np.ones_like(diffs)
+    diffs[0::2], lengths[0::2] = table[:, 1], table[:, 2] - 1
+    diffs[1::2] = table[1:, 0] - _lasts(table)[:-1]
+    diffs, lengths = diffs[lengths > 0], lengths[lengths > 0]
+    starts = _code_starts(diffs)
+    lengths = np.add.reduceat(lengths, starts) if starts.size else lengths
+    return _split(int(table[0, 0]), diffs[starts], lengths)
+
+
+def _normalized(first: int, step: int, count: int) -> tuple[int, int, int]:
     """(first, positive step, count) describing the same value set."""
-    if run.step > 0:
-        return run.start, run.step, run.count
-    return run.last, -run.step, run.count
+    if step > 0:
+        return first, step, count
+    return first + (count - 1) * step, -step, count
 
 
-def runs_intersect(a: IndexRun, b: IndexRun) -> bool:
-    """Exact emptiness test for the intersection of two progressions."""
-    a0, da, na = _normalized(a)
-    b0, db, nb = _normalized(b)
+def runs_intersect(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Exact emptiness test for the intersection of two runs, each a row
+    (first, step, count) of Python ints."""
+    a0, da, na = _normalized(*a)
+    b0, db, nb = _normalized(*b)
     lo = max(a0, b0)
     hi = min(a0 + (na - 1) * da, b0 + (nb - 1) * db)
     if lo > hi:
@@ -133,51 +129,69 @@ def runs_intersect(a: IndexRun, b: IndexRun) -> bool:
 
 
 class _RunStem:
-    """Shared run-backed storage for subsequence and rearrangement stems."""
+    """Shared run-table storage for subsequence and rearrangement stems.
 
-    __slots__ = ("runs",)
+    `runs` is one read-only (k, 3) int64 table, a row (first, step, count)
+    per run, and `ends` its read-only cumulative counts: run i holds the
+    positions ends[i] - count + 1 .. ends[i]."""
 
-    runs: tuple[IndexRun, ...]
+    __slots__ = ("runs", "ends")
 
-    def __init__(self, runs: Iterable[IndexRun]) -> None:
-        object.__setattr__(self, "runs", tuple(runs))
+    runs: np.ndarray
+    ends: np.ndarray
+
+    def __init__(self, runs: Runs) -> None:
+        self._hold(_checked_rows(_table(runs)))
         self._validate()
 
     @classmethod
-    def _trusted(cls, runs: tuple[IndexRun, ...]):
-        """A stem over runs already known to pass `_validate`."""
+    def _trusted(cls, runs: np.ndarray):
+        """A stem over a fresh table already known to be valid."""
         stem = object.__new__(cls)
-        object.__setattr__(stem, "runs", runs)
+        stem._hold(runs)
         return stem
 
+    def _hold(self, table: np.ndarray) -> None:
+        ends = np.cumsum(table[:, 2])
+        table.flags.writeable = ends.flags.writeable = False
+        object.__setattr__(self, "runs", table)
+        object.__setattr__(self, "ends", ends)
+
     def _validate(self, fresh: int = 0) -> None:
-        """Raise ValueError unless the stem is valid, given that runs[:fresh] are."""
+        """Raise ValueError unless the runs keep the stem's order, given
+        that runs[:fresh] do."""
         raise NotImplementedError
+
+    @classmethod
+    def from_values(cls, values: Sequence[int] | np.ndarray):
+        return cls(compress_values(values))
+
+    @classmethod
+    def identity(cls, length: int):
+        return cls([(1, 1, length)] if length else ())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("stems are immutable")
 
     def __len__(self) -> int:
-        return sum(r.count for r in self.runs)
+        return int(self.ends[-1]) if self.ends.size else 0
 
     def __bool__(self) -> bool:
-        return bool(self.runs)
+        return self.ends.size > 0
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self.runs == other.runs:
-            return True
-        if len(self) != len(other):
-            return False
-        return bool(np.array_equal(self.to_numpy(), other.to_numpy()))
+        return len(self) == len(other) and bool(
+            np.array_equal(_resplit(self.runs), _resplit(other.runs))
+        )
 
     def __hash__(self) -> int:
-        # what equal stems share however their runs are split: __eq__ falls
-        # back to the values, so the runs themselves cannot be hashed
-        if not self.runs:
+        # what equal stems share however their runs are split
+        if not self:
             return hash((type(self).__name__, 0))
-        return hash((type(self).__name__, len(self), self.runs[0].start, self.runs[-1].last))
+        last = int(_lasts(self.runs[-1:])[0])
+        return hash((type(self).__name__, len(self), int(self.runs[0, 0]), last))
 
     def __repr__(self) -> str:
         if len(self) <= 12:
@@ -187,87 +201,61 @@ class _RunStem:
 
     @property
     def max_value(self) -> int:
-        return max((r.max_value for r in self.runs), default=0)
+        return int(_extremes(self.runs)[1].max(initial=0))
 
     def values(self) -> Iterator[int]:
-        for run in self.runs:
-            value = run.start
-            for _ in range(run.count):
-                yield value
-                value += run.step
+        firsts, steps, counts = self.runs.T.tolist()
+        runs = map(itertools.islice, map(itertools.count, firsts, steps), counts)
+        return itertools.chain.from_iterable(runs)
 
     def value_at(self, position: int) -> int:
         """1-based lookup."""
-        if position < 1:
+        if not 1 <= position <= len(self):
             raise IndexError(position)
-        offset = position - 1
-        for run in self.runs:
-            if offset < run.count:
-                return run.value_at(offset)
-            offset -= run.count
-        raise IndexError(position)
+        i = int(np.searchsorted(self.ends, position))
+        first, step, count = self.runs[i].tolist()
+        return first + (position - 1 - int(self.ends[i]) + count) * step
 
     def to_numpy(self, limit: int | None = None) -> np.ndarray:
-        limit = len(self) if limit is None else min(limit, len(self))
-        parts: list[np.ndarray] = []
-        taken = 0
-        for run in self.runs:
-            if taken >= limit:
-                break
-            take = min(run.count, limit - taken)
-            parts.append((run if take == run.count else run.head(take)).to_numpy())
-            taken += take
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """The first `limit` values (all of them by default), made as the
+        running sum of the steps, each run's first value entering as its
+        gap from the value before."""
+        table = self.slice_runs(1, len(self) if limit is None else min(limit, len(self)))
+        firsts, steps, counts = table.T
+        values = np.repeat(steps, counts)
+        values[np.cumsum(counts) - counts] = firsts - np.concatenate(([0], _lasts(table)[:-1]))
+        return np.cumsum(values, out=values)
 
-    def _prefix_runs(self, length: int) -> tuple[IndexRun, ...]:
-        if length < 0 or length > len(self):
-            raise IndexError(length)
-        out: list[IndexRun] = []
-        left = length
-        for run in self.runs:
-            if left == 0:
-                break
-            take = min(run.count, left)
-            out.append(run if take == run.count else run.head(take))
-            left -= take
-        return tuple(out)
-
-    def slice_runs(self, start: int, end: int) -> tuple[IndexRun, ...]:
-        """Runs covering positions start..end inclusive (1-based)."""
+    def slice_runs(self, start: int, end: int) -> np.ndarray:
+        """Run table of positions start..end inclusive (1-based): the rows
+        of the runs they meet, the first and last cut to them."""
         if start < 1 or end > len(self) or start > end + 1:
             raise IndexError((start, end))
-        out: list[IndexRun] = []
-        skip = start - 1
-        left = end - start + 1
-        for run in self.runs:
-            if left == 0:
-                break
-            if skip >= run.count:
-                skip -= run.count
-                continue
-            first = run.value_at(skip)
-            take = min(run.count - skip, left)
-            out.append(IndexRun(first, run.step, take))
-            left -= take
-            skip = 0
-        return tuple(out)
+        if start > end:
+            return _table(())
+        i, j = np.searchsorted(self.ends, (start, end)).tolist()
+        table = self.runs[i:j + 1].copy()
+        skip = start - 1 - int(self.ends[i] - self.runs[i, 2])
+        table[-1, 2] = end - int(self.ends[j] - self.runs[j, 2])
+        table[0, 0] += skip * table[0, 1]
+        table[0, 2] -= skip
+        return table
 
-    def extends(self, base: "_RunStem") -> bool:
-        """True if `base` is an initial segment of this stem."""
-        if len(base) > len(self):
-            return False
-        mine = self.to_numpy(len(base))
-        return np.array_equal(mine, base.to_numpy())
+    def extends(self, base: IndexerStem) -> bool:
+        """True if `base` is an initial segment of this stem: the runs of
+        this stem's first len(base) positions hold the base's values, which
+        their resplit tables decide without making a value."""
+        return isinstance(base, _RunStem) and len(base) <= len(self) and bool(
+            np.array_equal(_resplit(self.slice_runs(1, len(base))), _resplit(base.runs))
+        )
 
     def prefix(self, length: int):
         # a prefix of a valid stem is valid
-        return self._trusted(self._prefix_runs(length))
+        return self._trusted(self.slice_runs(1, length))
 
-    def concat_runs(self, runs: Iterable[IndexRun]):
-        stem = self._trusted(self.runs + tuple(runs))
-        stem._validate(len(self.runs))
+    def concat_runs(self, runs: Runs):
+        stem = self._trusted(np.concatenate((self.runs, _checked_rows(_table(runs)))))
+        stem._validate(self.runs.shape[0])
         return stem
 
     def cover_position(self, targets: np.ndarray | Sequence[int]) -> int | None:
@@ -275,60 +263,44 @@ class _RunStem:
         p values, or None if the stem never covers them.
 
         Validated stems are injective, so p is the largest position of any
-        target: one array test per run, O(runs x targets) at any length.
-        """
-        t = np.asarray(targets, dtype=np.int64)
-        found = np.zeros(t.size, dtype=bool)
-        cover = offset = 0
-        for run in self.runs:
-            hit = (t >= run.min_value) & (t <= run.max_value) & ((t - run.start) % run.step == 0)
-            if hit.any():
-                last = int(((t[hit] - run.start) // run.step).max())
-                cover = max(cover, offset + last + 1)
-                found |= hit
-            offset += run.count
-        return cover if found.all() else None
+        target, and each target is held by at most one run.  It is looked
+        for only in the runs whose value ranges hold it: one array pass over
+        those (run, target) pairs."""
+        t = np.unique(np.asarray(targets, dtype=np.int64))
+        lows, highs = _extremes(self.runs)
+        a, b = np.searchsorted(t, lows), np.searchsorted(t, highs, side="right")
+        run = np.repeat(np.arange(lows.size), b - a)
+        offsets, misses = np.divmod(t[a[run] + _ragged(b - a)] - self.runs[run, 0],
+                                    self.runs[run, 1])
+        held = misses == 0
+        if np.count_nonzero(held) < t.size:
+            return None
+        begins = self.ends[run] - self.runs[run, 2]
+        return int((begins + offsets + 1)[held].max(initial=0))
 
 
 class SubseqStem(_RunStem):
     """Finite prefix of a strictly increasing index sequence."""
 
     def _validate(self, fresh: int = 0) -> None:
-        previous = self.runs[fresh - 1].last if fresh else 0
-        for run in self.runs[fresh:]:
-            if run.step <= 0 or run.start <= previous:
-                raise ValueError("subsequence stems must increase")
-            previous = run.last
-
-    @classmethod
-    def from_values(cls, values: Sequence[int] | np.ndarray) -> "SubseqStem":
-        return cls(compress_values(values))
-
-    @classmethod
-    def identity(cls, length: int) -> "SubseqStem":
-        if length == 0:
-            return cls(())
-        return cls((IndexRun(1, 1, length),))
+        before = np.concatenate(([0], _lasts(self.runs)[:-1]))
+        if (self.runs[:, 1] <= 0).any() or (self.runs[:, 0] <= before).any():
+            raise ValueError("subsequence stems must increase")
 
     @classmethod
     def arithmetic(cls, start: int, step: int, count: int) -> "SubseqStem":
         """start, start + step, ... (count values); a single value is stored
         with step 1, as compress_values stores it."""
-        if count == 0:
-            return cls(())
-        return cls((IndexRun(start, step if count > 1 else 1, count),))
+        return cls([(start, step if count > 1 else 1, count)] if count else ())
 
     def first_position_above(self, bound: int) -> int | None:
         """Smallest 1-based position whose value exceeds `bound`."""
-        position = 1
-        for run in self.runs:
-            if run.last > bound:
-                if run.start > bound:
-                    return position
-                skip = (bound - run.start) // run.step + 1
-                return position + skip
-            position += run.count
-        return None
+        i = int(np.searchsorted(_lasts(self.runs), bound, side="right"))
+        if i == self.ends.size:
+            return None
+        first, step, count = self.runs[i].tolist()
+        skip = 0 if first > bound else (bound - first) // step + 1
+        return int(self.ends[i]) - count + 1 + skip
 
 
 class RearrStem(_RunStem):
@@ -341,24 +313,15 @@ class RearrStem(_RunStem):
         to separate ranges cost O(n log n); many pairwise-disjoint runs
         sharing one range (residue classes, say) still cost a call per
         pair."""
-        runs = self.runs
+        rows = self.runs.tolist()
+        lows, highs = (column.tolist() for column in _extremes(self.runs))
         live: list[tuple[int, int]] = []  # (max value, index) of open runs
-        for lo, hi, index in sorted((r.min_value, r.max_value, i) for i, r in enumerate(runs)):
+        for lo, hi, index in sorted(zip(lows, highs, range(len(rows)))):
             live = [item for item in live if item[0] >= lo]
             for _, other in live:
-                if max(index, other) >= fresh and runs_intersect(runs[other], runs[index]):
+                if max(index, other) >= fresh and runs_intersect(rows[other], rows[index]):
                     raise ValueError("rearrangement stems must be injective")
             live.append((hi, index))
-
-    @classmethod
-    def from_values(cls, values: Sequence[int] | np.ndarray) -> "RearrStem":
-        return cls(compress_values(values))
-
-    @classmethod
-    def identity(cls, length: int) -> "RearrStem":
-        if length == 0:
-            return cls(())
-        return cls((IndexRun(1, 1, length),))
 
     def is_prefix_bijection(self, length: int | None = None) -> bool:
         """True if the first `length` values are exactly {1, ..., length}.
@@ -369,7 +332,7 @@ class RearrStem(_RunStem):
         length = len(self) if length is None else length
         if not 0 <= length <= len(self):
             return False
-        return max((r.max_value for r in self._prefix_runs(length)), default=0) == length
+        return int(_extremes(self.slice_runs(1, length))[1].max(initial=0)) == length
 
 
 class SelectionStem:
@@ -440,9 +403,9 @@ class SelectionStem:
 IndexerStem = SelectionStem | SubseqStem | RearrStem
 
 
-def missing_below(stem: _RunStem, bound: int) -> tuple[IndexRun, ...]:
-    """Runs listing {1..bound} minus the stem's values, in increasing order,
-    split as compress_values splits them.
+def missing_below(stem: _RunStem, bound: int) -> np.ndarray:
+    """Run table listing {1..bound} minus the stem's values, in increasing
+    order, split as compress_values splits them.
 
     The runs' value ranges cut 1..bound into segments, each inside the same
     runs throughout, and each segment gives its missing values as pieces:
@@ -452,11 +415,8 @@ def missing_below(stem: _RunStem, bound: int) -> tuple[IndexRun, ...]:
     their total length.  The pieces are then merged by the run-length code
     of their differences, so nothing is allocated in proportion to the
     bound."""
-    starts, steps, counts = np.array(
-        [(run.start, run.step, run.count) for run in stem.runs], dtype=np.int64
-    ).reshape(-1, 3).T
-    firsts = np.where(steps > 0, starts, starts + (counts - 1) * steps)
-    steps = np.abs(steps)
+    firsts = _extremes(stem.runs)[0]
+    steps, counts = np.abs(stem.runs[:, 1]), stem.runs[:, 2]
     below = firsts <= bound
     firsts, steps = firsts[below], steps[below]
     ends = firsts + np.minimum(counts[below], (bound - firsts) // steps + 1) * steps - steps + 1
@@ -514,27 +474,14 @@ def _unheld(
     return free - offsets[where] + lo[where]
 
 
-def _merged(firsts: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> tuple[IndexRun, ...]:
-    """The runs compress_values makes of the concatenated values of the
-    progressions (firsts[i], steps[i] > 0, counts[i]), taken in order of
-    their first values, read off the run-length code of their differences:
-    each piece's own step counts - 1 times, then the gap to the next piece.
-    The values increase, so the runs are valid without a check."""
+def _merged(firsts: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The run table compress_values makes of the concatenated values of
+    the progressions (firsts[i], steps[i] > 0, counts[i]), taken in order of
+    their first values.  The values increase, so the runs are valid
+    without a check."""
     keep = counts > 0
     order = np.argsort(firsts[keep], kind="stable")
-    firsts, steps, counts = firsts[keep][order], steps[keep][order], counts[keep][order]
-    if firsts.size == 0:
-        return ()
-    lasts = firsts + (counts - 1) * steps
-    diffs = np.empty(2 * firsts.size - 1, dtype=np.int64)
-    lengths = np.ones_like(diffs)
-    diffs[0::2], lengths[0::2] = steps, counts - 1
-    diffs[1::2] = firsts[1:] - lasts[:-1]
-    diffs, lengths = diffs[lengths > 0], lengths[lengths > 0]
-    starts = _code_starts(diffs)
-    lengths = np.add.reduceat(lengths, starts) if starts.size else lengths
-    split = _split(int(firsts[0]), diffs[starts], lengths)
-    return tuple(map(IndexRun._trusted, *(column.tolist() for column in split)))
+    return _resplit(np.column_stack((firsts, steps, counts))[keep][order])
 
 
 def extend_to_prefix_bijection(stem: RearrStem) -> RearrStem:

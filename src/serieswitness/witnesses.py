@@ -455,8 +455,8 @@ def grow_unbounded_subseries(
     while count < len(stream):
         lo = (stream.value_at(count + 1) - 1) // _BLOCK * _BLOCK
         end = stream.first_position_above(lo + _BLOCK) or len(stream) + 1
-        terms = np.concatenate([series.run_coefficients(run.start, run.step, run.count)
-                                for run in stream.slice_runs(count + 1, end - 1)])
+        terms = np.concatenate([series.run_coefficients(*run)
+                                for run in stream.slice_runs(count + 1, end - 1).tolist()])
         csum = np.cumsum(terms, out=terms)
         values = np.abs(running + csum)
         if pending is None:
@@ -885,12 +885,12 @@ def dense_open_witness_Cm(
         start_pos=r + 1, reason=f"no partial sum above {m + 1}",
     )
     m_r = tail_start + (pos_mr - r) - 1
-    tail_values_max = max(
-        run.max_value for run in candidate.slice_runs(r + 1, pos_mr)
-    )
-    after = max(z, m_r, tail_values_max)
+    head = candidate.prefix(pos_mr)
+    # the base's values are at most z, so past z the head's largest value is
+    # its tail's
+    after = max(z, m_r, head.max_value)
     k, block = _padding_block(series, seq, "dense-open-Cm", m, pos_mr, after, horizon)
-    stem = candidate.prefix(pos_mr).concat_runs(block.runs)
+    stem = head.concat_runs(block.runs)
     return _interval_witness(
         series, "dense-open-Cm", stem, base, seq, k, m,
         (("m", m), ("z", z), ("tail-start", tail_start), ("m_r", m_r)),

@@ -35,7 +35,6 @@ from serieswitness.cli import main
 from serieswitness.runners import execute_config, resolve_config
 from serieswitness.series import catalog_series, norms_at
 from serieswitness.spaces import DELTA
-from serieswitness.stems import IndexRun
 from serieswitness.witnesses import (
     Checkpoint,
     CheckpointColumns,
@@ -223,19 +222,17 @@ def reference_bits_to_rle(bits):
 
 
 def reference_stem_from_json(data):
-    """The per-segment loop stem_from_json falls back to: it names the first
-    segment out of shape and leaves the rest to IndexRun and the stem."""
-    runs = []
+    """The per-segment loop stem_from_json once fell back to: it names the
+    first segment out of shape and leaves the rest to the stem."""
     for i, segment in enumerate(data["segments"]):
         if not (type(segment) is list and len(segment) == 3
                 and all(type(v) is int for v in segment)):
             raise ValueError(f"segments[{i}]")
         start, step, count = segment
         last = start + (count - 1) * step
-        if count < 1 or not all(-(2**63) <= v < 2**63 for v in (start, last)):
+        if count < 1 or not all(-(2**63) <= v < 2**63 for v in (*segment, last)):
             raise ValueError(f"segments[{i}]")
-        runs.append(IndexRun(start, step, count))
-    return (SubseqStem if data["kind"] == "subseq" else RearrStem)(runs)
+    return (SubseqStem if data["kind"] == "subseq" else RearrStem)(data["segments"])
 
 
 _segment_values = (st.integers(-3, 40) | st.sampled_from([2**31, -(2**31), 2**62, 2**63 - 1,
@@ -255,6 +252,14 @@ _segments = st.lists(
 @example("rearr", [[5, 0, 1]])
 @example("subseq", [[2, 1, 2], [4, 2**31, 0]])
 @example("rearr", [[2**63 - 1, -(2**62), 3]])
+@example("subseq", [[2**62, 2**31, 2**31]])
+@example("subseq", [[2**62, 2**32, 2**31]])
+@example("rearr", [[1, 2**40, 2**40]])
+@example("subseq", [[5, 2**70, 1]])
+@example("subseq", [[1, 1, 2], [5, 1, 1], [7, True, 2]])
+@example("rearr", [[1, 1, 2], [5, 1, 1], [7, 1.0, 2], [20, 1, 1]])
+@example("subseq", [[1, 2**31, 2], [2**62 + 5, 1, 3]])
+@example("rearr", [[5, 0, 1], [2, 1, None]])
 def test_stem_segments_decode_as_the_loop_does(kind, segments):
     data = {"kind": kind, "segments": segments}
     try:
@@ -262,18 +267,19 @@ def test_stem_segments_decode_as_the_loop_does(kind, segments):
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
             stem_from_json(data)
-        # a segment out of shape is named; IndexRun and the stem speak for
-        # the others
+        # a segment out of shape is named; the stem speaks for the others
         assert str(raised.value.args[0]) == str(exc.args[0])
     else:
         got = stem_from_json(data)
-        assert type(got) is type(expected) and got.runs == expected.runs
+        assert type(got) is type(expected)
+        assert got.runs.dtype == np.int64 and got.runs.tolist() == segments
 
 
-def test_stem_segments_past_the_columnar_screen_still_decode():
+def test_large_segment_values_decode_into_the_run_table():
     huge = 2**62 + 5
     stem = stem_from_json({"kind": "subseq", "segments": [[1, 2**31, 2], [huge, 1, 3]]})
-    assert stem.runs == (IndexRun(1, 2**31, 2), IndexRun(huge, 1, 3))
+    assert stem.runs.tolist() == [[1, 2**31, 2], [huge, 1, 3]]
+    assert not stem.runs.flags.writeable
 
 
 def reference_bits_from_rle(rle):
@@ -430,7 +436,7 @@ def test_a_huge_stage_boundary_is_checked_without_a_mask():
     # The identity on {1..10^15} as one run: a bijection check that
     # allocated by length could not run at all.
     size = 10**15
-    stem = RearrStem((IndexRun(1, 1, size),))
+    stem = RearrStem(((1, 1, size),))
     series = catalog_series("alt-harmonic")
     values = norms_at(series, stem, [1, 3])
     cert = WitnessCertificate(

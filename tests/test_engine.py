@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import serieswitness.series as series_module
 from serieswitness import (
-    IndexRun,
     PartialSumTrace,
     RearrStem,
     SelectionStem,
@@ -251,7 +250,7 @@ def test_run_form_equals_the_index_form(name, step, first, count):
 @pytest.mark.parametrize("first", RUN_FIRSTS)
 def test_engine_on_one_run_across_blocks_and_chunks(name, step, first):
     series = catalog_series(name)
-    stem = RearrStem((IndexRun(first, step, (1 << 20) + (1 << 15) + 5),))
+    stem = RearrStem(((first, step, (1 << 20) + (1 << 15) + 5),))
     horizon = len(stem)
     assert_bitwise_equal(
         prefix_norms(series, stem, horizon), reference_scalar_norms(series, stem, horizon)
@@ -285,7 +284,7 @@ def test_runs_reaching_2_53_take_the_index_form(name, first, step):
     series = catalog_series(name)
     idx = np.arange(first, first + 40 * step, step, dtype=np.int64)
     assert_bitwise_equal(series.run_coefficients(first, step, 40), series.columns(idx)[1])
-    stem = RearrStem((IndexRun(first, step, 40),))
+    stem = RearrStem(((first, step, 40),))
     assert_bitwise_equal(prefix_norms(series, stem, 40), reference_scalar_norms(series, stem, 40))
 
 
@@ -304,8 +303,8 @@ def reference_scalar_norms(series, stem, horizon, chunk=1 << 20):
         ]
     else:
         chunks = [
-            (run.to_numpy()[lo:lo + chunk], None)
-            for run in stem.runs for lo in range(0, run.count, chunk)
+            (np.arange(first, first + count * step, step)[lo:lo + chunk], None)
+            for first, step, count in stem.runs.tolist() for lo in range(0, count, chunk)
         ]
     running, out, produced = 0.0, [], 0
     for part, weights in chunks:
@@ -347,7 +346,7 @@ def test_blocked_engine_with_run_boundaries_inside_blocks():
     series = catalog_series("alt-harmonic")
     stem = RearrStem.concat_runs(
         RearrStem.from_values(np.arange(2, 2 * 40_001, 2)),
-        (IndexRun(1, 2, 70_001), IndexRun(4_000_000, -3, 1_100_003)),
+        ((1, 2, 70_001), (4_000_000, -3, 1_100_003)),
     )
     horizon = len(stem)
     assert_bitwise_equal(
@@ -399,7 +398,7 @@ def packed_stems(draw):
     for count in draw(st.lists(st.integers(1, chunk + 2 * block + 3), min_size=1, max_size=40)):
         step = draw(st.integers(1, 3))
         last = low + (count - 1) * step
-        runs.append(IndexRun(last, -step, count) if draw(st.booleans()) else IndexRun(low, step, count))
+        runs.append((last, -step, count) if draw(st.booleans()) else (low, step, count))
         low = last + draw(st.integers(1, 4))
     stem = RearrStem(runs)
     return block, chunk, stem, draw(st.integers(1, len(stem)))
@@ -425,7 +424,7 @@ def test_short_runs_share_one_term_rule_call():
     values = rng.choice(np.arange(1, 20_000), size=10_000, replace=False)
     stem = RearrStem.from_values(values)
     norms = prefix_norms(series, stem, len(stem))
-    assert len(stem.runs) * max(run.count for run in stem.runs) <= series_module._BLOCK
+    assert len(stem.runs) * stem.runs[:, 2].max() <= series_module._BLOCK
     assert len(seen) == 1
     assert_bitwise_equal(norms, reference_scalar_norms(series, stem, len(stem)))
 
@@ -502,7 +501,7 @@ def test_prefix_norms_equal_norms_at(name, kind):
         stem = SubseqStem.identity(3 * block + 17)
     else:
         short = RearrStem.from_values(rng.choice(np.arange(1, 1_000), 400, replace=False))
-        stem = short.concat_runs((IndexRun(1_000, 2, block + 9), IndexRun(1_001, 2, 2 * block)))
+        stem = short.concat_runs(((1_000, 2, block + 9), (1_001, 2, 2 * block)))
     for horizon in (1, block - 1, block + 1, 2 * block + 5, len(stem)):
         got = prefix_norms(series, stem, horizon)
         assert_bitwise_equal(got, norms_at(series, stem, np.arange(1, horizon + 1)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import serieswitness.stems as stems_module
 from serieswitness.stems import (
-    IndexRun,
     RearrStem,
     SelectionStem,
     SubseqStem,
@@ -22,20 +21,14 @@ from serieswitness.stems import (
 def test_compress_roundtrip_small():
     for values in [(1, 2, 4, 6), (1, 3, 4, 5), (1, 2, 3, 5, 7), (9,), (), (5, 1, 2)]:
         runs = compress_values(values)
-        out = []
-        for r in runs:
-            out.extend(r.start + i * r.step for i in range(r.count))
-        assert tuple(out) == tuple(values)
+        assert runs.dtype == np.int64 and runs.shape == (len(runs), 3)
+        assert tuple(materialise(runs)) == tuple(values)
 
 
 @given(st.lists(st.integers(1, 60), min_size=0, max_size=25, unique=True))
 @settings(max_examples=200)
 def test_compress_roundtrip_random(values):
-    runs = compress_values(values)
-    out = []
-    for r in runs:
-        out.extend(r.start + i * r.step for i in range(r.count))
-    assert out == values
+    assert materialise(compress_values(values)) == values
 
 
 def test_duplicate_values_rejected():
@@ -46,12 +39,12 @@ def test_duplicate_values_rejected():
 
 
 def test_runs_intersect_exact():
-    evens = IndexRun(2, 2, 50)
-    odds = IndexRun(1, 2, 50)
+    evens = (2, 2, 50)
+    odds = (1, 2, 50)
     assert not runs_intersect(evens, odds)
-    assert runs_intersect(evens, IndexRun(6, 3, 10))
-    assert not runs_intersect(IndexRun(1, 4, 5), IndexRun(3, 4, 5))
-    assert runs_intersect(IndexRun(10, 1, 1), IndexRun(2, 4, 5))
+    assert runs_intersect(evens, (6, 3, 10))
+    assert not runs_intersect((1, 4, 5), (3, 4, 5))
+    assert runs_intersect((10, 1, 1), (2, 4, 5))
 
 
 def test_subseq_monotone_enforced():
@@ -75,11 +68,7 @@ def test_first_position_above():
 def test_slice_and_prefix():
     stem = SubseqStem.from_values((1, 2, 3, 10, 20, 30, 31, 32))
     assert list(stem.prefix(4).values()) == [1, 2, 3, 10]
-    runs = stem.slice_runs(3, 6)
-    got = []
-    for r in runs:
-        got.extend(r.start + i * r.step for i in range(r.count))
-    assert got == [3, 10, 20, 30]
+    assert materialise(stem.slice_runs(3, 6)) == [3, 10, 20, 30]
 
 
 def test_extends_and_cover():
@@ -203,7 +192,7 @@ def test_big_stem_stays_cheap():
 
 def test_equality_by_values():
     a = SubseqStem.from_values((1, 2, 3, 4))
-    b = SubseqStem((IndexRun(1, 1, 2), IndexRun(3, 1, 2)))
+    b = SubseqStem(((1, 1, 2), (3, 1, 2)))
     assert a == b
 
 
@@ -220,20 +209,84 @@ def split_stems(draw):
     stem = kind.from_values(values)
     steps = st.integers(1, 5) if kind is SubseqStem else st.integers(-5, 5).filter(bool)
     pieces = []
-    for run in stem.runs:
+    for first, run_step, count in stem.runs.tolist():
         offset = 0
-        while offset < run.count:
-            take = draw(st.integers(1, run.count - offset))
-            step = run.step if take > 1 else draw(steps)
-            pieces.append(IndexRun(run.value_at(offset), step, take))
+        while offset < count:
+            take = draw(st.integers(1, count - offset))
+            step = run_step if take > 1 else draw(steps)
+            pieces.append((first + offset * run_step, step, take))
             offset += take
     return stem, kind(pieces)
 
 
+@st.composite
+def stems_and_bases(draw):
+    """A stem drawn as split_stems draws it, and a base to test `extends`
+    against: a prefix of its values, split anew; the same prefix with a
+    last value changed, so the two diverge inside a run; or a one-value
+    base whose run has a step other than 1."""
+    stem, split = draw(split_stems())
+    values = list(stem.values())
+    cut = draw(st.integers(0, len(values)))
+    kind = type(stem)
+    how = draw(st.sampled_from(["prefix", "diverged", "one-value"]))
+    if how == "prefix" or not values:
+        base = kind([(v, 1, 1) for v in values[:cut]]) if draw(st.booleans()) \
+            else kind.from_values(values[:cut])
+    elif how == "diverged":
+        head = values[:max(cut, 1)]
+        head[-1] += draw(st.sampled_from([-1, 1, 61]))
+        base = kind.from_values(head) if head[-1] > 0 and len(set(head)) == len(head) \
+            and (kind is RearrStem or head == sorted(head)) else kind(())
+    else:
+        base = kind([(values[0], draw(st.integers(2, 9)), 1)])
+    return split, base
+
+
+def reference_extends(stem, base):
+    return list(stem.values())[:len(base)] == list(base.values()) and len(base) <= len(stem)
+
+
+@given(stems_and_bases(), st.integers(0, 25), st.integers(1, 25), st.integers(-1, 70))
+@example((SubseqStem([(1, 1, 5)]), SubseqStem([(1, 1, 3)])), 3, 4, 2)  # extends the last run
+@example((SubseqStem([(1, 1, 5)]), SubseqStem([(1, 1, 2), (4, 1, 1)])), 3, 4, 2)  # diverges
+@example((RearrStem([(9, -2, 2), (5, 7, 1), (3, -4, 1)]), RearrStem([(9, -2, 3)])), 2, 3, 4)
+@example((RearrStem([(9, -2, 2), (5, 7, 1)]), RearrStem([(9, 5, 1)])), 1, 3, 8)
+@settings(max_examples=400)
+def test_positional_operations_match_the_values(drawn, limit, start, bound):
+    stem, base = drawn
+    values = materialise(stem.runs)
+    n = len(values)
+    assert len(stem) == n and bool(stem) == bool(values)
+    assert list(stem.values()) == values
+    assert stem.max_value == max(values, default=0)
+    for position in range(-1, n + 3):
+        if 1 <= position <= n:
+            assert stem.value_at(position) == values[position - 1]
+        else:
+            with pytest.raises(IndexError):
+                stem.value_at(position)
+    assert stem.to_numpy().tolist() == values
+    assert stem.to_numpy(limit).tolist() == values[:limit]
+    for length in range(n + 1):
+        assert list(stem.prefix(length).values()) == values[:length]
+        assert stem.extends(stem.prefix(length))
+    start = min(start, n + 1)
+    for end in range(start - 1, n + 1):
+        assert materialise(stem.slice_runs(start, end)) == values[start - 1:end]
+    with pytest.raises(IndexError):
+        stem.prefix(n + 1)
+    if isinstance(stem, SubseqStem):
+        above = [i for i, v in enumerate(values, 1) if v > bound]
+        assert stem.first_position_above(bound) == (above[0] if above else None)
+    assert stem.extends(base) == reference_extends(stem, base)
+    assert base.extends(stem) == reference_extends(base, stem)
+
+
 @given(split_stems())
-@example((SubseqStem((IndexRun(2, 2, 1),)), SubseqStem((IndexRun(2, 1, 1),))))
-@example((RearrStem((IndexRun(9, -2, 4),)),
-          RearrStem((IndexRun(9, -2, 2), IndexRun(5, -2, 1), IndexRun(3, 7, 1)))))
+@example((SubseqStem(((2, 2, 1),)), SubseqStem(((2, 1, 1),))))
+@example((RearrStem(((9, -2, 4),)),
+          RearrStem(((9, -2, 2), (5, -2, 1), (3, 7, 1)))))
 @settings(max_examples=300)
 def test_equal_stems_hash_equal_however_their_runs_are_split(pair):
     stem, split = pair
@@ -246,7 +299,14 @@ def test_equal_stems_hash_equal_however_their_runs_are_split(pair):
 
 
 def materialise(runs):
-    return [r.start + i * r.step for r in runs for i in range(r.count)]
+    """The values of (first, step, count) rows, one by one."""
+    return [first + i * step for first, step, count in np.asarray(runs).reshape(-1, 3).tolist()
+            for i in range(count)]
+
+
+def last(run):
+    first, step, count = run
+    return first + (count - 1) * step
 
 
 def reference_cover_position(stem, targets):
@@ -279,8 +339,8 @@ def index_runs(draw):
     step = draw(st.integers(1, 5))
     count = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        return IndexRun(low + (count - 1) * step, -step, count)
-    return IndexRun(low, step, count)
+        return (low + (count - 1) * step, -step, count)
+    return (low, step, count)
 
 
 run_lists = st.lists(index_runs(), max_size=8)
@@ -299,12 +359,12 @@ def disjoint_runs(runs):
 
 
 @given(run_lists)
-@example([IndexRun(5, 1, 1), IndexRun(5, 1, 1)])
-@example([IndexRun(4, 1, 3), IndexRun(4, 1, 3)])
-@example([IndexRun(1, 3, 5), IndexRun(2, 3, 5)])
-@example([IndexRun(1, 3, 5), IndexRun(4, 3, 5)])
-@example([IndexRun(13, -3, 5), IndexRun(2, 3, 5), IndexRun(7, 3, 1)])
-@example([IndexRun(2, 2, 5), IndexRun(1, 2, 6), IndexRun(30, -7, 4)])
+@example([(5, 1, 1), (5, 1, 1)])
+@example([(4, 1, 3), (4, 1, 3)])
+@example([(1, 3, 5), (2, 3, 5)])
+@example([(1, 3, 5), (4, 3, 5)])
+@example([(13, -3, 5), (2, 3, 5), (7, 3, 1)])
+@example([(2, 2, 5), (1, 2, 6), (30, -7, 4)])
 @settings(max_examples=400)
 def test_rearr_stem_raises_exactly_on_repeats(runs):
     values = materialise(runs)
@@ -316,8 +376,8 @@ def test_rearr_stem_raises_exactly_on_repeats(runs):
 
 
 @given(injective_values, run_lists)
-@example([1, 2, 3], [IndexRun(9, -3, 3)])
-@example([4, 8], [IndexRun(2, 2, 2), IndexRun(10, -2, 2)])
+@example([1, 2, 3], [(9, -3, 3)])
+@example([4, 8], [(2, 2, 2), (10, -2, 2)])
 @settings(max_examples=400)
 def test_concat_runs_raises_exactly_on_repeats(head, tail):
     stem = RearrStem.from_values(head)
@@ -334,7 +394,7 @@ def test_concat_runs_raises_exactly_on_repeats(head, tail):
 def test_subseq_concat_agrees_with_full_validation(head, tail):
     stem = SubseqStem.from_values(head)
     try:
-        whole = SubseqStem(stem.runs + tuple(tail))
+        whole = SubseqStem(stem.runs.tolist() + tail)
     except ValueError:
         with pytest.raises(ValueError):
             stem.concat_runs(tail)
@@ -343,10 +403,10 @@ def test_subseq_concat_agrees_with_full_validation(head, tail):
 
 
 @given(run_lists, st.lists(st.integers(-2, 45), max_size=6))
-@example([IndexRun(13, -3, 5)], [7])
-@example([IndexRun(13, -3, 5)], [8])
-@example([IndexRun(13, -3, 5), IndexRun(2, 3, 3)], [2, 13, 1])
-@example([IndexRun(3, 1, 4)], [])
+@example([(13, -3, 5)], [7])
+@example([(13, -3, 5)], [8])
+@example([(13, -3, 5), (2, 3, 3)], [2, 13, 1])
+@example([(3, 1, 4)], [])
 @settings(max_examples=400)
 def test_cover_position_matches_the_walk(runs, targets):
     stem = RearrStem(disjoint_runs(runs))
@@ -358,32 +418,30 @@ def reference_missing_below(stem, bound):
     """The value-scatter mask that missing_below used to fill."""
     mask = np.ones(bound + 1, dtype=bool)
     mask[0] = False
-    for run in stem.runs:
-        values = run.to_numpy()
-        mask[values[values <= bound]] = False
+    values = np.array(materialise(stem.runs), dtype=np.int64)
+    mask[values[values <= bound]] = False
     return compress_values(np.flatnonzero(mask))
 
 
 @given(run_lists, st.integers(0, 50))
-@example([IndexRun(13, -3, 5)], 7)
-@example([IndexRun(2, 5, 6), IndexRun(30, -4, 3)], 24)
-@example([IndexRun(40, 1, 3)], 12)
+@example([(13, -3, 5)], 7)
+@example([(2, 5, 6), (30, -4, 3)], 24)
+@example([(40, 1, 3)], 12)
 @settings(max_examples=400)
 def test_missing_below_matches_the_scatter(runs, bound):
     # runs of either direction, below, across and past the bound
     stem = RearrStem(disjoint_runs(runs))
-    assert missing_below(stem, bound) == reference_missing_below(stem, bound)
+    assert missing_below(stem, bound).tolist() == reference_missing_below(stem, bound).tolist()
 
 
 def mask_missing_below(stem, bound):
     """missing_below as a mask of its bound, one strided slice per run."""
     mask = np.ones(bound + 1, dtype=bool)
     mask[0] = False
-    for run in stem.runs:
-        first, step, count = (run.start, run.step, run.count) if run.step > 0 else (
-            run.last, -run.step, run.count)
-        last = min(first + (count - 1) * step, bound)
-        mask[first:last + 1:step] = False
+    for run in stem.runs.tolist():
+        first, step, count = run if run[1] > 0 else (last(run), -run[1], run[2])
+        top = min(first + (count - 1) * step, bound)
+        mask[first:top + 1:step] = False
     return compress_values(np.flatnonzero(mask).astype(np.int64))
 
 
@@ -397,10 +455,10 @@ def overlapping_stems(draw):
     for residue in draw(st.lists(st.integers(0, modulus - 1), unique=True, max_size=modulus)):
         low = draw(st.integers(0, 6)) * modulus + residue + modulus
         count = draw(st.integers(1, 40))
-        run = IndexRun(low, modulus, count)
-        runs.append(IndexRun(run.last, -modulus, count) if draw(st.booleans()) else run)
+        run = (low, modulus, count)
+        runs.append((last(run), -modulus, count) if draw(st.booleans()) else run)
     runs += draw(st.lists(index_runs(), max_size=4))
-    runs += [IndexRun(v, 1, 1) for v in draw(st.lists(st.integers(1, 250), max_size=4))]
+    runs += [(v, 1, 1) for v in draw(st.lists(st.integers(1, 250), max_size=4))]
     stem = RearrStem(disjoint_runs(draw(st.permutations(runs))))
     top = stem.max_value
     bound = draw(st.sampled_from([0, 1, top // 2, top, top + 7]) | st.integers(0, top + 20))
@@ -410,12 +468,12 @@ def overlapping_stems(draw):
 @given(overlapping_stems())
 @example((RearrStem(()), 0))
 @example((RearrStem(()), 9))
-@example((RearrStem((IndexRun(6, 2, 1), IndexRun(1, 2, 4))), 12))
-@example((RearrStem((IndexRun(20, -2, 8), IndexRun(5, 2, 9))), 30))
+@example((RearrStem(((6, 2, 1), (1, 2, 4))), 12))
+@example((RearrStem(((20, -2, 8), (5, 2, 9))), 30))
 @settings(max_examples=1_000, deadline=None)
 def test_missing_below_matches_the_mask(drawn):
     stem, bound = drawn
-    assert missing_below(stem, bound) == mask_missing_below(stem, bound)
+    assert missing_below(stem, bound).tolist() == mask_missing_below(stem, bound).tolist()
 
 
 @st.composite
@@ -435,7 +493,8 @@ def progressions(draw):
 def test_merged_pieces_split_as_compress_values(pieces):
     firsts, steps, counts = np.array(pieces, dtype=np.int64).reshape(-1, 3).T
     values = [f + i * s for f, s, c in sorted(pieces) for i in range(c)]
-    assert stems_module._merged(firsts, steps, counts) == compress_values(values)
+    merged = stems_module._merged(firsts, steps, counts)
+    assert merged.tolist() == compress_values(values).tolist()
 
 
 def test_closing_the_depth_3_prefix_allocates_no_mask():
@@ -453,7 +512,7 @@ def test_closing_the_depth_3_prefix_allocates_no_mask():
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert missing == (IndexRun(1_753, 2, 1_412_739),)
+    assert missing.tolist() == [[1_753, 2, 1_412_739]]
     assert peak_bytes < 1 << 20
 
 

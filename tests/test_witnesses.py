@@ -748,3 +748,34 @@ def test_library_exhaustions_are_pinned(alt, growing, name):
     exc = info.value
     best = None if exc.best is None else exc.best.hex()
     assert (exc.construction, exc.reason, exc.horizon, best) == expected
+
+
+# ---------------------------------------------------------------------------
+# verify reads run stems as run tables
+
+
+def _no_values(*args, **kwargs):
+    raise AssertionError("verify made the values of a run stem")
+
+
+def test_verify_builds_no_run_stem_values(tmp_path, monkeypatch):
+    from serieswitness.certificates import load_document, verify_document
+    from serieswitness.cli import main
+    from serieswitness.stems import _RunStem
+
+    series = catalog_series("alt-harmonic")
+    p_prime = rearrangement_pipeline(series, 3, 3_000_000).stem
+    rng = np.random.default_rng(800)
+    base = RearrStem.from_values(rng.choice(np.arange(1, 1801), size=800, replace=False))
+    escape = nowhere_dense_witness_rearr(series, p_prime, 1, base, 3_000_000)
+    path = tmp_path / "cm.json"
+    assert main(["run", "--series", "alt-harmonic", "--construction", "dense-open-cm",
+                 "--m", "1", "--horizon", "200000", "--out", str(path)]) == 0
+    doc = load_document(str(path))
+    assert doc["result"]["base"] is not None
+    # the engine makes each block's indices itself, from the run rows
+    monkeypatch.setattr(_RunStem, "to_numpy", _no_values)
+    monkeypatch.setattr(_RunStem, "values", _no_values)
+    assert len(escape.stem.runs) > 1_000
+    assert verify_certificate(escape) == []
+    assert verify_document(doc) == []
