@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
@@ -219,12 +219,17 @@ def checkpoints_from_json(items: list[dict[str, Any]]) -> CheckpointColumns:
 
 
 def certificate_to_json(cert: WitnessCertificate) -> dict[str, Any]:
+    return _result_json(cert, _checkpoints_to_json(cert.checkpoints))
+
+
+def _result_json(cert: WitnessCertificate, checkpoints: Any) -> dict[str, Any]:
+    """certificate_to_json with `checkpoints` in place of the rows."""
     return {
         "construction": cert.construction,
         "series": cert.series_name,
         "stem": stem_to_json(cert.stem),
         "base": stem_to_json(cert.base) if cert.base is not None else None,
-        "checkpoints": _checkpoints_to_json(cert.checkpoints),
+        "checkpoints": checkpoints,
         "interval_index": cert.interval_index,
         "interval": list(cert.interval) if cert.interval else None,
         "talagrand": talagrand_to_json(cert.talagrand),
@@ -362,6 +367,46 @@ def dumps_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_ROWS_MARK = "\x00checkpoints"  # holds the checkpoints' place in certificate_text
+
+
+def certificate_text(cert: WitnessCertificate, config: dict, seconds: float = 0.0) -> str:
+    """dumps_document(document_for_certificate(cert, config, seconds)), byte
+    for byte, with the checkpoints spelled from their columns and no object
+    made per checkpoint.  The rest is one call to the C encoder, with a
+    marker where the checkpoints go."""
+    doc = _document("witness", config, _result_json(cert, _ROWS_MARK), seconds)
+    head, *tail = dumps_document(doc).split(encode_basestring_ascii(_ROWS_MARK))
+    if len(tail) != 1:  # another field spells the marker as well
+        return dumps_document(document_for_certificate(cert, config, seconds))
+    return head + "[" + _checkpoint_rows(cert.checkpoints) + "]" + tail[0]
+
+
+def _checkpoint_rows(cps: CheckpointColumns) -> str:
+    """The checkpoints' objects as dumps_document spells them, joined by
+    commas; a column of one text is folded into the fixed text of the row."""
+    return _interleave(
+        ['{"bound":', _spelled(cps.bound), ',"kind":', _spelled(cps.kind),
+         ',"position":', list(map(int.__repr__, cps.position.tolist())),
+         ',"relation":', _spelled(cps.relation), ',"value":', _spelled(cps.value), "}"],
+        ",", len(cps),
+    )
+
+
+def _spelled(column: np.ndarray) -> str | list[str]:
+    """The texts of a float or str column, or its one text: each float bit
+    pattern (0.0 and -0.0 differ) or str once, strs through a dict."""
+    if column.dtype == object:
+        keys = column.tolist()
+        texts = {key: encode_basestring_ascii(key) for key in set(keys)}
+    else:
+        bits, which = np.unique(column.view(np.int64), return_inverse=True)
+        floats, keys = bits.view(np.float64), which.tolist()
+        spell = float.__repr__ if np.isfinite(floats).all() else _scalar_text
+        texts = dict(enumerate(map(spell, floats.tolist())))
+    return [*texts.values()][0] if len(texts) == 1 else list(map(texts.__getitem__, keys))
+
+
 def payload_without_timing(doc: dict[str, Any]) -> str:
     """The document without `timing`, exactly as
     `json.dumps(trimmed, sort_keys=True, indent=2) + "\\n"` spells it.  The
@@ -442,11 +487,19 @@ def _rows_text(rows: Sequence[Any], level: int) -> str | None:
     inner = "\n" + "  " * (level + 1)
     between = ",\n" + "  " * level
     heads = [opening + inner + labels[0]] + ["," + inner + label for label in labels[1:]]
-    parts: list[Iterable[str]] = []
-    for head, column in zip(heads, columns):
-        parts += (repeat(head), column)
-    parts.append(repeat(between[1:] + closing + between))
-    return "".join(chain.from_iterable(zip(*parts)))[: -len(between)]
+    parts = [*chain.from_iterable(zip(heads, columns)), between[1:] + closing]
+    return _interleave(parts, between, len(rows))
+
+
+def _interleave(parts: Sequence[str | list[str]], separator: str, count: int) -> str:
+    """`count` rows joined by `separator` in one join.  Row i concatenates
+    the parts: a str is fixed text, a list holds each row's own text."""
+    pieces: list[Iterable[str]] = []
+    for fixed, group in groupby(parts, key=lambda part: isinstance(part, str)):
+        pieces += [repeat("".join(group))] if fixed else group
+    # a list ends the zip after `count` rows, even when every part is fixed
+    pieces.append([separator] * count)
+    return "".join(chain.from_iterable(zip(*pieces)))[: -len(separator)]
 
 
 def _indented(value: Any, level: int) -> str:
@@ -542,12 +595,12 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
 
 
 def verify_document(doc: dict[str, Any], rerun_exhaustion: bool = True) -> list[str]:
-    """Recompute a loaded document against the catalog.
+    """Recompute a loaded document against the catalog: a witness is decoded
+    and checked by verify_certificate, as `run` checks the one it holds.
 
     Returns discrepancies; raises SchemaMismatch for foreign documents and
-    DocumentError for a missing or ill-typed top-level field.
-    Exhaustion documents are re-run with their recorded configuration to
-    confirm the search still comes up empty.
+    DocumentError for a missing or ill-typed top-level field.  Exhaustion
+    documents are replayed to confirm the search still comes up empty.
     """
     _check_schema(doc)
     kind = doc.get("kind")

@@ -3,8 +3,9 @@
 Exit codes for `run`: 0 means a certificate or verdict was produced and
 self-verified, 2 means the search exhausted its horizon (an informative
 outcome, for instance on a series all of whose selections share one
-bound), 1 means an error.  `verify` exits 0 only if every checkpoint in
-the document recomputes.
+bound), 1 means an error.  `run` writes a witness from its checkpoint columns
+and self-verifies the certificate it holds, as `verify` does a decoded one.
+`verify` exits 0 only if every checkpoint in the document recomputes.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from typing import Any
 
 from .certificates import (
     SchemaMismatch,
-    document_for_certificate,
+    certificate_text,
     document_for_exhaustion,
     document_for_verdict,
     dumps_document,
     load_document,
     verify_document,
-    write_document,
 )
 from .runners import CONSTRUCTIONS, PARAMS, execute_config, resolve_config
 from .series import catalog_names, catalog_series
-from .witnesses import PreconditionViolation, ScanExhausted
+from .witnesses import PreconditionViolation, ScanExhausted, verify_certificate
 
 HORIZON_ENV = "SERIESWITNESS_HORIZON"
 
@@ -93,12 +93,13 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return config
 
 
-def _emit(doc: dict[str, Any], out: str | None, summary: str) -> None:
+def _emit(text: str, out: str | None, summary: str) -> None:
     if out:
-        write_document(doc, out)
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
         print(f"{summary} -> {out}")
     else:
-        sys.stdout.write(dumps_document(doc))
+        sys.stdout.write(text)
         print(summary, file=sys.stderr)
 
 
@@ -110,11 +111,11 @@ def _run(args: argparse.Namespace) -> int:
     except ScanExhausted as exc:
         seconds = time.perf_counter() - started
         doc = document_for_exhaustion(exc, config, seconds)
-        _emit(doc, args.out, f"exhausted: {exc}")
+        _emit(dumps_document(doc), args.out, f"exhausted: {exc}")
         return 2
     seconds = time.perf_counter() - started
     if kind == "witness":
-        doc = document_for_certificate(payload, config, seconds)
+        text = certificate_text(payload, config, seconds)
         summary = (
             f"certificate: {payload.construction} on {payload.series_name}, "
             f"{len(payload.checkpoints)} checkpoint(s), stem length {len(payload.stem)}"
@@ -122,17 +123,18 @@ def _run(args: argparse.Namespace) -> int:
     else:
         verdict, indexer, ideal, threshold = payload
         doc = document_for_verdict(verdict, indexer, ideal, threshold, config, seconds)
+        text = dumps_document(doc)
         summary = (
             f"verdict: {verdict.status} (bound {verdict.bound:g}, "
             f"{verdict.interval_count} contained interval(s), horizon {verdict.horizon})"
         )
     if not args.no_verify:
-        issues = verify_document(doc, rerun_exhaustion=False)
+        issues = verify_certificate(payload) if kind == "witness" else verify_document(doc)
         if issues:
             print(f"self-verification failed: {issues[0]}", file=sys.stderr)
             return 1
         summary += " [self-verified]"
-    _emit(doc, args.out, summary)
+    _emit(text, args.out, summary)
     if kind == "verdict" and verdict.status == "undecided":
         return 2
     return 0

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 Runs = np.ndarray | Sequence[Sequence[int]]
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _table(runs: Runs) -> np.ndarray:
@@ -35,13 +36,17 @@ def _extremes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_rows(table: np.ndarray) -> np.ndarray:
     """The table, once every row is a run of at least one positive integer
-    with a nonzero step; ValueError otherwise."""
-    if (table[:, 2] < 1).any():
+    inside int64 with a nonzero step; ValueError otherwise."""
+    first, step, count = table.T
+    if (count < 1).any():
         raise ValueError("run count must be >= 1")
-    if (table[:, 1] == 0).any():
+    if (step == 0).any():
         raise ValueError("run step must be nonzero")
-    if (_extremes(table)[0] < 1).any():
-        raise ValueError("index runs live on positive integers")
+    # each count is bounded without forming the last value, which may wrap
+    if (first < 1).any() or (
+        count - 1 > np.where(step > 0, _INT64_MAX - first, 1 - first) // step
+    ).any():
+        raise ValueError("index runs live on positive integers inside int64")
     return table
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from serieswitness import (
     SubseqStem,
     rearrangement_pipeline,
 )
+from serieswitness import certificates, cli
 from serieswitness.certificates import (
     SchemaMismatch,
     _bits_from_rle,
     _bits_to_rle,
     certificate_from_json,
+    certificate_text,
     certificate_to_json,
     document_for_certificate,
     dumps_document,
@@ -549,3 +552,80 @@ _trees = st.recursive(
 def test_payload_text_is_the_standard_librarys(tree):
     doc = {"schema_version": "1", "result": tree, "timing": {"seconds": 0.25}}
     assert _outcome(payload_without_timing, doc) == _outcome(_stdlib_payload, doc)
+
+
+# ---------------------------------------------------------------------------
+# the witness text that `run` writes
+
+
+_cell_floats = _floats | st.sampled_from([0.0, -0.0, 1.0])
+_cell_texts = st.sampled_from([">", ">=", "partial-sum", "term-norm"]) | _texts
+_positions = st.integers(1, 50) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _checkpoint_columns(draw):
+    """Columns of 0 to 6 rows, drawn so that some columns repeat one value
+    and others mix them."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 6))
+
+    def column(items):
+        return draw(st.lists(items, min_size=n, max_size=n)
+                    | items.map(lambda item: [item] * n))
+
+    return CheckpointColumns(column(_positions), column(_cell_floats), column(_cell_floats),
+                             column(_cell_texts), column(_cell_texts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_checkpoint_columns(), st.dictionaries(_keys, _scalars, max_size=3),
+       st.sampled_from([0.0, 0.25, math.nan]))
+@example(CheckpointColumns([2**64, 3], [0.0, -0.0], [math.nan, math.inf], ">", "term-norm"),
+         {"m": -math.inf}, 0.0)
+@example(CheckpointColumns([], [], [], [], []), {}, 0.0)
+@example(CheckpointColumns([7], [1.5], [1.0], ">"), {"x": "\x00checkpoints"}, 0.0)
+def test_certificate_text_is_the_documents_text(cps, config, seconds):
+    cert = WitnessCertificate("dense-open-am", "alt-harmonic",
+                              SelectionStem((1, 0, 1)), cps, base=SelectionStem((1,)),
+                              interval=(4, 8), stage_boundaries=(2,), details=(("m", 1),))
+    expected = _outcome(lambda c: dumps_document(document_for_certificate(*c)),
+                        (cert, config, seconds))
+    assert _outcome(lambda c: certificate_text(*c), (cert, config, seconds)) == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ["--series", "alt-harmonic", "--construction", "dense-open-am", "--m", "3"],
+    ["--series", "alt-harmonic", "--construction", "rearrangement", "--depth", "2"],
+    ["--series", "unit-basis-c0", "--construction", "i-bounded", "--M", "0.5"],
+    ["--series", "unit-basis-c0", "--construction", "rearrangement"],
+])
+def test_stdout_and_out_get_the_same_text(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ["run", *flags, "--horizon", "20000"]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    path = tmp_path / "doc.json"
+    assert main([*argv, "--out", str(path)]) == code
+    assert path.read_text() == printed
+    if json.loads(printed)["kind"] == "witness":
+        config = resolve_config(json.loads(printed)["config"])
+        cert = execute_config(config)[1]
+        assert printed == dumps_document(document_for_certificate(cert, config, 0.0))
+
+
+def test_run_spells_and_checks_a_witness_without_rows_or_decoding(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run built a checkpoint row or decoded its document")
+
+    path = tmp_path / "am.json"
+    argv = ["--series", "alt-harmonic", "--construction", "dense-open-am",
+            "--m", "3", "--horizon", "20000"]
+    with monkeypatch.context() as patch:
+        patch.setattr(certificates, "_checkpoints_to_json", refuse)
+        patch.setattr(certificates, "certificate_from_json", refuse)
+        assert main(["run", *argv, "--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    config = resolve_config({"series": "alt-harmonic", "construction": "dense-open-am",
+                             "m": 3, "horizon": 20000})
+    golden = document_for_certificate(execute_config(config)[1], config)
+    assert payload_without_timing(load_document(str(path))) == payload_without_timing(golden)

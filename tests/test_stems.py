@@ -47,6 +47,34 @@ def test_runs_intersect_exact():
     assert runs_intersect((10, 1, 1), (2, 4, 5))
 
 
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("cls", [RearrStem, SubseqStem])
+@pytest.mark.parametrize("run", [
+    (1, 2**62, 5),             # last value 2**64 + 1 wraps to 1
+    (INT64_MAX - 1, 1, 3),     # one past INT64_MAX
+    (INT64_MAX, INT64_MAX, 2),
+    (5, -2, 4),                # down to -1
+    (5, -(2**63), 2),          # down past INT64_MIN
+])
+def test_a_run_whose_last_value_leaves_the_positive_int64s_is_refused(cls, run):
+    with pytest.raises(ValueError, match="positive integers inside int64"):
+        cls([run])
+
+
+@pytest.mark.parametrize("cls, run", [
+    (RearrStem, (INT64_MAX - 1, 1, 2)),
+    (SubseqStem, (INT64_MAX - 1, 1, 2)),
+    (RearrStem, (5, -2, 3)),
+    (RearrStem, (INT64_MAX, -1, 3)),
+])
+def test_a_run_that_ends_on_an_int64_edge_is_kept(cls, run):
+    first, step, count = run
+    stem = cls([run])
+    assert stem.max_value == max(first, first + (count - 1) * step)
+
+
 def test_subseq_monotone_enforced():
     with pytest.raises(ValueError):
         SubseqStem.from_values((2, 2))
