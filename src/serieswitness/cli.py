@@ -11,6 +11,7 @@ and self-verifies the certificate it holds, as `verify` does a decoded one.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -32,6 +33,8 @@ from .witnesses import PreconditionViolation, ScanExhausted, verify_certificate
 HORIZON_ENV = "SERIESWITNESS_HORIZON"
 
 
+# built once per process: argparse asks for the terminal size on each option
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serieswitness",
@@ -177,21 +180,17 @@ def _catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"run": _run, "verify": _verify, "catalog": _catalog}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse admits only the commands the parser declares
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        if args.command == "verify":
-            return _verify(args)
-        if args.command == "catalog":
-            return _catalog(args)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
-    return 1
 
 
 def entrypoint() -> None:

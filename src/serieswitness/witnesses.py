@@ -26,6 +26,7 @@ from .stems import (
     RearrStem,
     SelectionStem,
     SubseqStem,
+    _resplit,
     extend_to_prefix_bijection,
 )
 
@@ -52,8 +53,6 @@ __all__ = [
     "verify_certificate",
     "relation_holds",
 ]
-
-_CHUNK = 1 << 18
 
 DEFAULT_SCALAR_HORIZON = 10**6
 DEFAULT_SEQUENCE_HORIZON = 10**4
@@ -256,8 +255,9 @@ def _horizon(series: SeriesOracle, horizon: int | None) -> int:
 def _first_index(
     series: SeriesOracle, after: int, horizon: int, hit: Callable[[np.ndarray], np.ndarray]
 ) -> int | None:
-    """First index in (after, horizon] whose term norm passes `hit`, found
-    in spans that grow from 2^10 to _CHUNK indices."""
+    """First index in (after, horizon] whose term norm passes `hit`, read
+    in contiguous spans that start at 2^10 indices and grow x8 up to the
+    engine's _BLOCK, so a long search holds one block of norms at a time."""
     lo = after + 1
     span = 1 << 10
     while lo <= horizon:
@@ -267,7 +267,7 @@ def _first_index(
         if mask.any():
             return int(idx[int(np.argmax(mask))])
         lo = hi + 1
-        span = min(span * 8, _CHUNK)
+        span = min(span * 8, _BLOCK)
     return None
 
 
@@ -482,7 +482,7 @@ def grow_unbounded_subseries(
             if not pending:
                 done_at = i
         if done_at is not None:
-            stem = SubseqStem.from_values(stream.to_numpy(count + done_at + 1))
+            stem = SubseqStem._trusted(_resplit(stream.slice_runs(1, count + done_at + 1)))
             if series.is_scalar:
                 strategy = (("strategy", "greedy-positive"),)
             else:

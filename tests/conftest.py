@@ -2,10 +2,29 @@
 
 These reimplement the catalog term rules and norm arithmetic directly,
 without touching the package's evaluation engines, so that certificate
-values are checked through a second route.
+values are checked through a second route.  `traced_peak` measures what
+a call allocates.
 """
 
+import tracemalloc
+
 import pytest
+
+
+def traced_peak(call):
+    """What `call` returns, or the ScanExhausted it raises, and the peak of
+    the memory traced while it ran."""
+    from serieswitness import ScanExhausted
+
+    tracemalloc.start()
+    try:
+        try:
+            result = call()
+        except ScanExhausted as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def alt_harmonic_term(n: int) -> float:

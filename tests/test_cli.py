@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
+import types
 
 import pytest
 
@@ -14,8 +14,11 @@ from serieswitness.certificates import (
     payload_without_timing,
     verify_document,
 )
+from serieswitness import cli
 from serieswitness.cli import _build_parser, main
 from serieswitness.runners import PARAMS, execute_config, resolve_config
+
+from conftest import traced_peak
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -321,6 +324,30 @@ def test_run_flags_are_the_registry_parameters():
     assert flags == set(PARAMS) | {"series", "construction", "out", "no-verify"}
 
 
+def test_one_parser_serves_run_a_usage_error_and_verify(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: after run, a usage error and
+    # verify, it prints what the freshly built one printed
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "doc.json"
+    rounds = []
+    _build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["run", "--series", "alt-harmonic", "--construction", "rearrangement",
+                        "--depth", "2", "--horizon", "20000", "--out", str(out)]) == 0
+        outputs = [out.read_text(), capsys.readouterr()]
+        with pytest.raises(SystemExit) as usage:
+            run_cli(["run", "--series", "alt-harmonic", "--depth", "two"])
+        assert usage.value.code == 2
+        outputs.append(capsys.readouterr())
+        assert run_cli(["verify", str(out)]) == 0
+        outputs.append(capsys.readouterr())
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
+    assert "invalid int value: 'two'" in rounds[0][2].err
+    assert rounds[0][3].out == "verified: every checkpoint recomputes\n"
+    assert _build_parser() is _build_parser()
+
+
 def test_env_horizon_override(tmp_path):
     out = tmp_path / "cert.json"
     code = run_cli(
@@ -423,17 +450,34 @@ def test_run_then_verify_matrix(tmp_path, flags, expected):
     assert run_cli(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("flags,expected", [
+    (["--series", "alt-harmonic", "--construction", "grow-subseries",
+      "--target", "6.9", "--horizon", "3000000"], 0),
+    (["--series", "alt-harmonic", "--construction", "rearrangement",
+      "--depth", "3", "--horizon", "3000000"], 0),
+    (["--series", "alt-harmonic", "--construction", "nowhere-dense-rearr",
+      "--m", "2", "--horizon", "3000000"], 2),
+    (["--series", "growing-real", "--construction", "limsup-subseries",
+      "--depth", "20", "--horizon", "1000000"], 2),
+])
+def test_deep_run_stem_cells_run_and_verify_in_bounded_memory(tmp_path, flags, expected):
+    # stems of up to 2.8 million entries are held as runs and scanned an
+    # engine block at a time, by run and by verify alike
+    out = tmp_path / "doc.json"
+    code, run_peak = traced_peak(lambda: run_cli(["run", *flags, "--out", str(out)]))
+    assert code == expected
+    code, verify_peak = traced_peak(lambda: run_cli(["verify", str(out)]))
+    assert code == 0
+    assert run_peak < 2 * 2**20
+    assert verify_peak < 2 * 2**20
+
+
 def test_verify_refuses_a_word_past_the_letter_budget(tmp_path, capsys):
     doc = _verdict(lambda r: r.update(indexer={"kind": "selection", "rle": [[1, 10**12]]}))({})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = run_cli(["verify", str(bad)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: run_cli(["verify", str(bad)]))
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err

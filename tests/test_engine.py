@@ -3,7 +3,6 @@ reference code it replaced; the references stay here."""
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +13,16 @@ import serieswitness.series as series_module
 from serieswitness import (
     PartialSumTrace,
     RearrStem,
+    ScanExhausted,
     SelectionStem,
     SubseqStem,
+    WitnessCertificate,
     catalog_series,
     exceedance_report,
     explicit_talagrand,
     geometric_talagrand,
+    grow_unbounded_subseries,
+    limsup_subseries,
     linear_talagrand,
     norms_at,
     prefix_norms,
@@ -27,6 +30,8 @@ from serieswitness import (
 from serieswitness.ideals import interval
 from serieswitness.series import _signs, crossing_scan
 from serieswitness.spaces import DELTA
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +517,22 @@ def test_an_early_stop_on_a_long_run_makes_only_its_blocks_indices():
     # the first partial sum, 1/2, already crosses
     series = catalog_series("alt-harmonic")
     stem = SubseqStem.arithmetic(2, 2, 1_500_000)
-    tracemalloc.start()
-    try:
-        scan = crossing_scan(series, stem, [0.5])
-        peak_bytes = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scan, peak_bytes = traced_peak(lambda: crossing_scan(series, stem, [0.5]))
     assert scan.positions == [1]
     # an index array of a whole 2^20-term chunk is 8 MiB
     assert peak_bytes < 8 * series_module._CHUNK // 4
+
+
+@pytest.mark.parametrize("construct,outcome", [
+    # a stem of 552,818 candidates, sliced from the stream's one run
+    (lambda: grow_unbounded_subseries(catalog_series("alt-harmonic"), 6.9, 3_000_000),
+     WitnessCertificate),
+    # step 13 searches the term norms from 531,442 to the horizon in vain
+    (lambda: limsup_subseries(catalog_series("growing-real"), 20, 1_000_000),
+     ScanExhausted),
+])
+def test_growth_on_long_runs_holds_engine_blocks_not_the_stem(construct, outcome):
+    result, peak_bytes = traced_peak(construct)
+    assert isinstance(result, outcome)
+    # 2 MiB is eight blocks of float64 norms
+    assert peak_bytes < 8 * 8 * series_module._BLOCK

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -30,6 +31,9 @@ from serieswitness import (
     uniform_bound_bruteforce,
     verify_certificate,
 )
+from serieswitness.series import _BLOCK
+from serieswitness.stems import compress_values
+from serieswitness.witnesses import _first_index
 
 from conftest import (
     alt_harmonic_term,
@@ -136,6 +140,65 @@ def test_grow_growing_real(growing):
     cert = grow_unbounded_subseries(growing, target=10.0, search_horizon=100)
     assert list(cert.stem.values()) == [2, 4, 6]
     assert cert.final_norm() == 12.0
+
+
+def _grow_to_length(series, values, k):
+    """The grow witness whose stem is the first k candidates: the target
+    sits halfway between the candidates' partial sums k - 1 and k."""
+    sums = [math.fsum(1.0 / v for v in values[:j]) for j in (k - 1, k)]
+    return grow_unbounded_subseries(series, target=sum(sums) / 2, search_horizon=10**6)
+
+
+@pytest.mark.parametrize("k", [1, 2, _BLOCK - 1, _BLOCK + 1])
+def test_grow_stem_is_the_table_of_its_candidates(alt, k):
+    # the stem is sliced from the stream's runs, never made as values, and
+    # must be the table compress_values makes of those values
+    values = provision_candidate_stream(alt, 10**6).to_numpy(k)
+    cert = _grow_to_length(alt, values, k)
+    assert np.array_equal(cert.stem.runs, compress_values(values))
+    assert len(cert.stem) == k
+
+
+def test_grow_stem_on_a_stream_of_many_runs(alt):
+    # positive terms of alt-harmonic split unlike compress_values, with
+    # runs of one value, so every cut must resplit (count-1 runs take step 1)
+    stream = SubseqStem([(2, 2, 3), (8, 2, 2), (20, 4, 3), (40, 1, 1), (44, 6, 5), (80, 2, 9)])
+    series = dataclasses.replace(alt, candidates=lambda horizon: stream)
+    for k in range(1, len(stream) + 1):
+        values = stream.to_numpy(k)
+        cert = _grow_to_length(series, values, k)
+        assert np.array_equal(cert.stem.runs, compress_values(values)), k
+        assert verify_certificate(cert) == []
+
+
+class _Spikes:
+    """Term norms 1 at the given indices and 0 elsewhere; records the size
+    of every span of indices read."""
+
+    def __init__(self, hits):
+        self.hits = np.asarray(hits, dtype=np.int64)
+        self.spans = []
+
+    def term_norms(self, idx):
+        self.spans.append(idx.size)
+        return np.isin(idx, self.hits).astype(np.float64)
+
+
+@pytest.mark.parametrize("after", [0, 7])
+def test_first_index_at_span_edges(after):
+    # spans of 2^10, 2^13, then 2^15 indices from after + 1, cut at the horizon
+    horizon = after + 100_000
+    ends = np.cumsum([1 << 10, 1 << 13, _BLOCK, _BLOCK]) + after
+    edges = [after + 1, *ends, *(ends + 1), horizon]
+    for hit in edges:
+        series = _Spikes([hit, horizon])
+        norms = series.term_norms(np.arange(1, horizon + 1))
+        expected = after + 1 + int(np.flatnonzero(norms[after:] > 0.5)[0])
+        series.spans.clear()
+        assert _first_index(series, after, horizon, lambda n: n > 0.5) == expected == hit
+        assert max(series.spans) <= _BLOCK
+    for hits in ([], [after], [horizon + 1]):
+        assert _first_index(_Spikes(hits), after, horizon, lambda n: n > 0.5) is None
 
 
 def test_grow_unit_basis_exhausts(unit):
