@@ -14,7 +14,6 @@ from .spaces import (
     basis,
     fsv,
     real_line,
-    scalar,
     sequence_space,
 )
 from .stems import (
@@ -37,19 +36,12 @@ from .series import (
 from .ideals import (
     BoundednessVerdict,
     ExceedanceReport,
-    IdealSpec,
     TalagrandSequence,
-    default_talagrand,
-    density_at,
-    density_ideal,
     exceedance_report,
-    explicit_talagrand,
-    fin_ideal,
     geometric_talagrand,
     i_bounded_verdict,
     interval,
     linear_talagrand,
-    talagrand_ideal,
 )
 from .witnesses import (
     Checkpoint,

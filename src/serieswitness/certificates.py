@@ -21,7 +21,6 @@ import numpy as np
 
 from .ideals import (
     BoundednessVerdict,
-    IdealSpec,
     TalagrandSequence,
     exceedance_report,
     verdict_status,
@@ -340,19 +339,19 @@ def _exceed_runs(positions: np.ndarray) -> list[list[int]]:
 def document_for_verdict(
     verdict: BoundednessVerdict,
     indexer: IndexerStem,
-    ideal: IdealSpec,
-    threshold: int,
     config: dict[str, Any],
     seconds: float = 0.0,
 ) -> dict[str, Any]:
+    """The verdict's document; its ideal and threshold are the resolved
+    config's."""
     result = {
         "series": config.get("series"),
         "indexer": stem_to_json(indexer),
-        "ideal": ideal.kind,
+        "ideal": config["ideal"],
         "talagrand": talagrand_to_json(verdict.report.talagrand),
         "bound": verdict.bound,
         "horizon": verdict.horizon,
-        "threshold": threshold,
+        "threshold": config["threshold"],
         "status": verdict.status,
         "interval_count": verdict.interval_count,
         "contained_intervals": verdict.report.contained_intervals.tolist(),
@@ -594,30 +593,45 @@ def _verify_verdict(doc: dict[str, Any]) -> list[str]:
     return issues
 
 
+def _replay_exhaustion(doc: dict[str, Any]) -> list[str]:
+    """Run an exhaustion document's configuration again: the search must
+    come up empty with the recorded result, every field of it."""
+    config = resolve_config(doc["config"])
+    try:
+        execute_config(config)
+    except ScanExhausted as exc:
+        replayed, recorded = document_for_exhaustion(exc, config)["result"], doc["result"]
+        shared = replayed.keys() & recorded
+        for field in (*replayed, *recorded):
+            if field not in shared or replayed[field] != recorded[field]:
+                return [f"exhaustion result field {field!r} replays as "
+                        f"{replayed.get(field)!r}, recorded {recorded.get(field)!r}"]
+        return []
+    return ["recorded as exhausted, but the construction now succeeds"]
+
+
 def verify_document(doc: dict[str, Any], rerun_exhaustion: bool = True) -> list[str]:
     """Recompute a loaded document against the catalog: a witness is decoded
     and checked by verify_certificate, as `run` checks the one it holds.
 
     Returns discrepancies; raises SchemaMismatch for foreign documents and
     DocumentError for a missing or ill-typed top-level field.  Exhaustion
-    documents are replayed to confirm the search still comes up empty.
+    documents are replayed, and the replay must reproduce the recorded
+    result.  The result's series must be the configured one.
     """
     _check_schema(doc)
     kind = doc.get("kind")
     if kind == "witness":
-        cert = certificate_from_json(doc["result"])
-        return verify_certificate(cert)
-    if kind == "verdict":
-        return _verify_verdict(doc)
-    if kind == "exhaustion":
+        issues = verify_certificate(certificate_from_json(doc["result"]))
+    elif kind == "verdict":
+        issues = _verify_verdict(doc)
+    elif kind == "exhaustion":
         if not rerun_exhaustion:
             return []
-        try:
-            execute_config(resolve_config(doc["config"]))
-        except ScanExhausted as exc:
-            recorded = doc["result"].get("reason")
-            if exc.reason != recorded:
-                return [f"exhaustion reason changed: {exc.reason!r} vs {recorded!r}"]
-            return []
-        return ["recorded as exhausted, but the construction now succeeds"]
-    return [f"unknown document kind {kind!r}"]
+        issues = _replay_exhaustion(doc)
+    else:
+        return [f"unknown document kind {kind!r}"]
+    series, configured = doc["result"].get("series"), doc["config"].get("series")
+    if series != configured:
+        issues.append(f"result series {series!r} is not the configured series {configured!r}")
+    return issues

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from typing import Any
@@ -28,9 +27,7 @@ from .certificates import (
 )
 from .runners import CONSTRUCTIONS, PARAMS, execute_config, resolve_config
 from .series import catalog_names, catalog_series
-from .witnesses import PreconditionViolation, ScanExhausted, verify_certificate
-
-HORIZON_ENV = "SERIESWITNESS_HORIZON"
+from .witnesses import ScanExhausted, verify_certificate
 
 
 # built once per process: argparse asks for the terminal size on each option
@@ -45,11 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser(
-        "run",
-        help="execute a construction and emit a certificate",
-        description=f"Without --horizon, ${HORIZON_ENV} sets the scan horizon.",
-    )
+    run = sub.add_parser("run", help="execute a construction and emit a certificate")
     run.add_argument("--series", required=True, help="catalog series name")
     run.add_argument(
         "--construction",
@@ -63,11 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             run.add_argument(f"--{key}", type=param.kind, help=param.help)
     run.add_argument("--out", default=None, help="write the JSON document here")
-    run.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the post-run self-verification",
-    )
 
     verify = sub.add_parser("verify", help="recheck a certificate document")
     verify.add_argument("path", help="path to a JSON document from `run`")
@@ -85,14 +73,6 @@ def _config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     for key in PARAMS:
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    env = os.environ.get(HORIZON_ENV)
-    if "horizon" not in config and env:
-        try:
-            config["horizon"] = int(env)
-        except ValueError:
-            raise PreconditionViolation(
-                f"${HORIZON_ENV} must be an integer, got {env!r}"
-            ) from None
     return config
 
 
@@ -124,19 +104,18 @@ def _run(args: argparse.Namespace) -> int:
             f"{len(payload.checkpoints)} checkpoint(s), stem length {len(payload.stem)}"
         )
     else:
-        verdict, indexer, ideal, threshold = payload
-        doc = document_for_verdict(verdict, indexer, ideal, threshold, config, seconds)
+        verdict, indexer = payload
+        doc = document_for_verdict(verdict, indexer, config, seconds)
         text = dumps_document(doc)
         summary = (
             f"verdict: {verdict.status} (bound {verdict.bound:g}, "
             f"{verdict.interval_count} contained interval(s), horizon {verdict.horizon})"
         )
-    if not args.no_verify:
-        issues = verify_certificate(payload) if kind == "witness" else verify_document(doc)
-        if issues:
-            print(f"self-verification failed: {issues[0]}", file=sys.stderr)
-            return 1
-        summary += " [self-verified]"
+    issues = verify_certificate(payload) if kind == "witness" else verify_document(doc)
+    if issues:
+        print(f"self-verification failed: {issues[0]}", file=sys.stderr)
+        return 1
+    summary += " [self-verified]"
     _emit(text, args.out, summary)
     if kind == "verdict" and verdict.status == "undecided":
         return 2

@@ -23,16 +23,11 @@ from .stems import IndexerStem
 
 __all__ = [
     "TalagrandSequence",
-    "IdealSpec",
     "ExceedanceReport",
     "BoundednessVerdict",
     "geometric_talagrand",
     "linear_talagrand",
     "explicit_talagrand",
-    "fin_ideal",
-    "density_ideal",
-    "talagrand_ideal",
-    "default_talagrand",
     "interval",
     "density_at",
     "exceedance_report",
@@ -42,10 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_EVIDENCE_THRESHOLD = 3
-
-FIN = "fin"
-DENSITY = "density"
-TALAGRAND_GIVEN = "talagrand-given"
 
 
 @dataclass(frozen=True)
@@ -113,59 +104,6 @@ def interval(seq: TalagrandSequence, k: int) -> range:
     if k < 1:
         raise ValueError("interval index must be >= 1")
     return range(seq.n(k), seq.n(k + 1))
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """One of: fin, the natural-density ideal, or an ideal presented only
-    through an interval sequence witnessing its Baire property."""
-
-    kind: str
-    talagrand: TalagrandSequence | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (FIN, DENSITY, TALAGRAND_GIVEN):
-            raise ValueError(f"unknown ideal kind {self.kind!r}")
-        if self.kind == TALAGRAND_GIVEN and self.talagrand is None:
-            raise ValueError("talagrand-given ideal needs its sequence")
-        if self.kind != TALAGRAND_GIVEN and self.talagrand is not None:
-            raise ValueError(f"{self.kind} ideal carries no explicit sequence")
-
-
-def fin_ideal() -> IdealSpec:
-    return IdealSpec(FIN)
-
-
-def density_ideal() -> IdealSpec:
-    return IdealSpec(DENSITY)
-
-
-def talagrand_ideal(seq: TalagrandSequence) -> IdealSpec:
-    return IdealSpec(TALAGRAND_GIVEN, seq)
-
-
-def default_talagrand(ideal: IdealSpec) -> TalagrandSequence:
-    """Interval sequence no member of the ideal can swallow cofinitely.
-
-    fin: n_k = k, since a set containing infinitely many [k, k+1) is
-    infinite.  density: n_k = 2^k, since a set containing [2^k, 2^{k+1})
-    has density >= 1/2 at 2^{k+1} - 1 and so cannot have density zero.
-    """
-    if ideal.kind == FIN:
-        return linear_talagrand()
-    if ideal.kind == DENSITY:
-        return geometric_talagrand()
-    raise ValueError(
-        "a talagrand-given ideal already carries its sequence; use ideal.talagrand"
-    )
-
-
-def ideal_talagrand(ideal: IdealSpec) -> TalagrandSequence:
-    """The sequence used for verdicts about this ideal."""
-    if ideal.kind == TALAGRAND_GIVEN:
-        assert ideal.talagrand is not None
-        return ideal.talagrand
-    return default_talagrand(ideal)
 
 
 def density_at(members: Iterable[int], n: int) -> float:
@@ -257,21 +195,20 @@ def verdict_status(report: ExceedanceReport, threshold: int) -> str:
 def i_bounded_verdict(
     series: SeriesOracle,
     indexer: IndexerStem,
-    ideal: IdealSpec,
+    seq: TalagrandSequence,
     bound: float,
     horizon: int,
     threshold: int = DEFAULT_EVIDENCE_THRESHOLD,
-    seq: TalagrandSequence | None = None,
 ) -> BoundednessVerdict:
     """Evidence-backed verdict on ideal boundedness of a coded partial-sum
-    sequence, judged at the given bound and horizon."""
+    sequence, judged at the given bound and horizon.  The ideal enters only
+    through its interval sequence `seq`."""
     if len(indexer) < horizon:
         raise HorizonExceedsStem(
             f"verdict horizon {horizon} exceeds stem length {len(indexer)}"
         )
     trace = partial_sums(series, indexer, horizon)
-    sequence = seq if seq is not None else ideal_talagrand(ideal)
-    report = exceedance_report(trace, bound, sequence)
+    report = exceedance_report(trace, bound, seq)
     return BoundednessVerdict(
         status=verdict_status(report, threshold),
         bound=float(bound),

@@ -14,10 +14,7 @@ from typing import Any, Callable, NamedTuple
 
 from .ideals import (
     DEFAULT_EVIDENCE_THRESHOLD,
-    density_ideal,
-    fin_ideal,
     geometric_talagrand,
-    ideal_talagrand,
     i_bounded_verdict,
     linear_talagrand,
 )
@@ -38,9 +35,14 @@ from .witnesses import (
     rearrangement_pipeline,
 )
 
-# The interval sequences and the ideals a configuration may name.
+# The interval sequences and the ideals a configuration may name.  An ideal
+# is named by the interval sequence that no member of it swallows
+# cofinitely.  fin: n_k = k, since a set containing infinitely many
+# [k, k+1) is infinite.  density: n_k = 2^k, since a set containing
+# [2^k, 2^{k+1}) has density >= 1/2 at 2^{k+1} - 1 and so cannot have
+# density zero.
 SEQUENCES = {"geometric": geometric_talagrand, "linear": linear_talagrand}
-IDEALS = {"fin": fin_ideal, "density": density_ideal}
+IDEALS = {"fin": linear_talagrand, "density": geometric_talagrand}
 
 # The candidate stream ends inside the scan horizon before it can seed the
 # open set's base stem: a finite search came up short, so this is exhaustion.
@@ -127,9 +129,9 @@ def resolve_config(config: dict[str, Any]) -> dict[str, Any]:
 def execute_config(config: dict[str, Any]) -> tuple[str, Any]:
     """Run a configuration that resolve_config has resolved.
 
-    Returns ("witness", WitnessCertificate) or
-    ("verdict", (verdict, indexer, ideal, threshold)).  ScanExhausted
-    propagates to the caller, which turns it into an exhaustion document.
+    Returns ("witness", WitnessCertificate) or ("verdict", (verdict,
+    indexer)).  ScanExhausted propagates to the caller, which turns it into
+    an exhaustion document.
     """
     entry = REGISTRY[config["construction"]]
     series = catalog_series(config["series"])
@@ -195,20 +197,17 @@ def _dense_open_am(series, config, horizon):
 
 
 def _i_bounded(series, config, horizon):
-    ideal = IDEALS[config["ideal"]]()
     seq = SEQUENCES[config["talagrand"]]()
-    threshold = config["threshold"]
     indexer = SelectionStem.ones(horizon)
     verdict = i_bounded_verdict(
-        series, indexer, ideal, float(config["M"]), horizon,
-        threshold=threshold, seq=seq,
+        series, indexer, seq, float(config["M"]), horizon, config["threshold"]
     )
-    return verdict, indexer, ideal, threshold
+    return verdict, indexer
 
 
 def _ideal_sequence(config) -> str:
     """i-bounded's default interval sequence is the one its ideal names."""
-    return ideal_talagrand(IDEALS[config["ideal"]]()).label
+    return IDEALS[config["ideal"]]().label
 
 
 _M = {"m": 1}

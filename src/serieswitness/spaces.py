@@ -87,8 +87,3 @@ def fsv(data: Mapping[int, float]) -> FiniteSupportVector:
 def basis(index: int, coefficient: float = 1.0) -> FiniteSupportVector:
     """The vector coefficient * e_index."""
     return fsv({index: coefficient})
-
-
-def scalar(value: float) -> FiniteSupportVector:
-    """A real number embedded as a vector supported on coordinate 1."""
-    return fsv({1: value})

@@ -362,10 +362,6 @@ class SelectionStem:
         raise AttributeError("stems are immutable")
 
     @classmethod
-    def from_word(cls, word: str) -> "SelectionStem":
-        return cls([int(c) for c in word])
-
-    @classmethod
     def ones(cls, length: int) -> "SelectionStem":
         return cls(np.ones(length, dtype=np.int64))
 
@@ -397,9 +393,6 @@ class SelectionStem:
         """True if `base` is a word this one starts with."""
         return (type(base) is SelectionStem and len(base) <= len(self)
                 and bool(np.array_equal(self.bits[: len(base)], base.bits)))
-
-    def ones_positions(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self.bits) + 1).tolist())
 
     def to_numpy(self) -> np.ndarray:
         return self.bits

@@ -1065,14 +1065,11 @@ def rearrangement_pipeline(
 # certificate verification
 
 
-def verify_certificate(
-    cert: WitnessCertificate, series: SeriesOracle | None = None
-) -> list[str]:
+def verify_certificate(cert: WitnessCertificate) -> list[str]:
     """Recompute every checkpoint and structural claim; returns the list
     of discrepancies (empty means the certificate is sound)."""
     issues: list[str] = []
-    if series is None:
-        series = catalog_series(cert.series_name)
+    series = catalog_series(cert.series_name)
     stem = cert.stem
 
     if cert.base is not None and not stem.extends(cert.base):

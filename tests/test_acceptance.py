@@ -21,8 +21,6 @@ from serieswitness import (
     dense_open_witness_Am,
     dense_open_witness_Bm,
     dense_open_witness_Cm,
-    density_at,
-    density_ideal,
     geometric_talagrand,
     grow_unbounded_subseries,
     i_bounded_verdict,
@@ -41,6 +39,8 @@ from serieswitness.certificates import (
     write_document,
 )
 from serieswitness.cli import main as cli_main
+from serieswitness.ideals import density_at
+from serieswitness.runners import IDEALS
 
 from conftest import alt_harmonic_term, growing_real_term, kahan_abs_prefix
 
@@ -228,7 +228,7 @@ def test_criterion_5_dense_open_interval_certificates(alt, growing):
 
 def test_criterion_6_ideal_evidence(unit):
     verdict = i_bounded_verdict(
-        unit, SelectionStem.ones(64), density_ideal(), 0.5, 64
+        unit, SelectionStem.ones(64), IDEALS["density"](), 0.5, 64
     )
     assert verdict.status == "i-unbounded-evidence"
     assert verdict.report.contained_intervals.tolist() == [1, 2, 3, 4, 5]

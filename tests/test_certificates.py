@@ -61,7 +61,7 @@ def test_stem_serialization_roundtrip():
         SubseqStem.arithmetic(2, 2, 1000),
         SubseqStem.from_values((1, 4, 9, 16, 25)),
         RearrStem.from_values((5, 1, 2, 3, 4)),
-        SelectionStem.from_word("1001000011"),
+        SelectionStem([1, 0, 0, 1, 0, 0, 0, 0, 1, 1]),
         SelectionStem(),
         SubseqStem(()),
     ]:
@@ -155,8 +155,8 @@ def test_verdict_document_roundtrip(tmp_path):
     )
     kind, payload = execute_config(config)
     assert kind == "verdict"
-    verdict, indexer, ideal, threshold = payload
-    doc = document_for_verdict(verdict, indexer, ideal, threshold, config)
+    verdict, indexer = payload
+    doc = document_for_verdict(verdict, indexer, config)
     path = tmp_path / "verdict.json"
     write_document(doc, str(path))
     loaded = load_document(str(path))
@@ -178,8 +178,8 @@ def test_verdict_document_tampering(tmp_path):
         }
     )
     _, payload = execute_config(config)
-    verdict, indexer, ideal, threshold = payload
-    doc = document_for_verdict(verdict, indexer, ideal, threshold, config)
+    verdict, indexer = payload
+    doc = document_for_verdict(verdict, indexer, config)
     doc["result"]["interval_count"] = 7
     assert verify_document(doc)
 

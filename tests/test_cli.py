@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 import types
@@ -9,6 +8,8 @@ import pytest
 
 from serieswitness.certificates import (
     DocumentError,
+    document_for_certificate,
+    document_for_exhaustion,
     document_for_verdict,
     load_document,
     payload_without_timing,
@@ -17,23 +18,13 @@ from serieswitness.certificates import (
 from serieswitness import cli
 from serieswitness.cli import _build_parser, main
 from serieswitness.runners import PARAMS, execute_config, resolve_config
+from serieswitness.witnesses import ScanExhausted
 
 from conftest import traced_peak
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
+def run_cli(args):
     """Invoke the CLI in-process, capturing the exit code."""
-    if env_extra:
-        saved = {k: os.environ.get(k) for k in env_extra}
-        os.environ.update(env_extra)
-        try:
-            return main(args)
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
     return main(args)
 
 
@@ -195,19 +186,46 @@ def _replay(**config):
 _AM = {"series": "unit-basis-c0", "construction": "dense-open-am"}
 
 
+def _made(edit, **config):
+    """The document `run` writes for config, in place of the given one,
+    with edit applied to it."""
+    def build(doc):
+        resolved = resolve_config(config)
+        try:
+            kind, payload = execute_config(resolved)
+        except ScanExhausted as exc:
+            made = document_for_exhaustion(exc, resolved)
+        else:
+            made = (document_for_certificate(payload, resolved) if kind == "witness"
+                    else document_for_verdict(*payload, resolved))
+        edit(made)
+        return json.loads(json.dumps(made))
+    return build
+
+
 def _verdict(edit):
     """An i-bounded verdict document in place of the given one, with edit
     applied to its result."""
-    def build(doc):
-        config = resolve_config({
-            "series": "unit-basis-c0", "construction": "i-bounded",
-            "M": 0.5, "ideal": "density", "horizon": 64,
-        })
-        _, (verdict, indexer, ideal, threshold) = execute_config(config)
-        verdict_doc = document_for_verdict(verdict, indexer, ideal, threshold, config)
-        edit(verdict_doc["result"])
-        return json.loads(json.dumps(verdict_doc))
-    return build
+    return _made(lambda doc: edit(doc["result"]), series="unit-basis-c0",
+                 construction="i-bounded", M=0.5, ideal="density", horizon=64)
+
+
+def _configured(**fields):
+    return lambda doc: doc["config"].update(fields)
+
+
+def _recorded(**fields):
+    return lambda doc: doc["result"].update(fields)
+
+
+_ALT_VERDICT = {"series": "alt-harmonic", "construction": "i-bounded", "M": 0.5,
+                "horizon": 1000}
+_ALT_GROW = {"series": "alt-harmonic", "construction": "grow-subseries", "target": 2.0,
+             "horizon": 1000}
+# every term of unit-basis-c0 has norm 1, so the limsup search exhausts
+_UNIT_LIMSUP = {"series": "unit-basis-c0", "construction": "limsup-subseries",
+                "horizon": 1000}
+_NOT_CONFIGURED = "result series 'alt-harmonic' is not the configured series"
 
 
 @pytest.mark.parametrize(
@@ -261,6 +279,18 @@ def _verdict(edit):
         (_verdict(lambda r: r.update(indexer={"kind": "selection",
                                               "rle": [[1, 2**25], [0, 2**25], [1, 1]]})),
          "'result.indexer.rle' spells a word longer than"),
+        (_made(_configured(series="growing-real"), **_ALT_VERDICT),
+         _NOT_CONFIGURED + " 'growing-real'"),
+        (_made(_configured(series="growing-real"), **_ALT_GROW),
+         _NOT_CONFIGURED + " 'growing-real'"),
+        (_made(_recorded(series="alt-harmonic"), **_UNIT_LIMSUP),
+         _NOT_CONFIGURED + " 'unit-basis-c0'"),
+        (_made(_recorded(best=5.0), **_UNIT_LIMSUP),
+         "exhaustion result field 'best' replays as"),
+        (_made(_recorded(horizon=7), **_UNIT_LIMSUP),
+         "exhaustion result field 'horizon' replays as 1000, recorded 7"),
+        (_made(_recorded(construction="x"), **_UNIT_LIMSUP),
+         "exhaustion result field 'construction' replays as 'limsup-subseries'"),
     ],
 )
 def test_verify_malformed_document_names_the_field(tmp_path, capsys, edit, named):
@@ -321,7 +351,7 @@ def test_run_flags_are_the_registry_parameters():
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
-    assert flags == set(PARAMS) | {"series", "construction", "out", "no-verify"}
+    assert flags == set(PARAMS) | {"series", "construction", "out"}
 
 
 def test_one_parser_serves_run_a_usage_error_and_verify(tmp_path, monkeypatch, capsys):
@@ -348,40 +378,20 @@ def test_one_parser_serves_run_a_usage_error_and_verify(tmp_path, monkeypatch, c
     assert _build_parser() is _build_parser()
 
 
-def test_env_horizon_override(tmp_path):
-    out = tmp_path / "cert.json"
-    code = run_cli(
-        [
-            "run",
-            "--series", "unit-basis-c0",
-            "--construction", "grow-subseries",
-            "--target", "2",
-            "--out", str(out),
-        ],
-        env_extra={"SERIESWITNESS_HORIZON": "750"},
-    )
-    assert code == 2
-    doc = load_document(str(out))
-    assert doc["config"]["horizon"] == 750
-    assert doc["result"]["horizon"] == 750
-
-
 @pytest.mark.parametrize(
-    "flags, env, named",
+    "flags, named",
     [
-        (["--construction", "grow-subseries", "--horizon", "0"], None, "horizon must be >= 1"),
-        (["--construction", "grow-subseries", "--horizon", "-5"], None, "horizon must be >= 1"),
-        (["--construction", "i-bounded", "--M", "0.5", "--horizon", "0"], None,
+        (["--construction", "grow-subseries", "--horizon", "0"], "horizon must be >= 1"),
+        (["--construction", "grow-subseries", "--horizon", "-5"], "horizon must be >= 1"),
+        (["--construction", "i-bounded", "--M", "0.5", "--horizon", "0"],
          "horizon must be >= 1"),
-        (["--construction", "grow-subseries"], {"SERIESWITNESS_HORIZON": "0"},
-         "horizon must be >= 1"),
-        (["--construction", "dense-open-am", "--m", "-1"], None, "m must be >= 0"),
+        (["--construction", "dense-open-am", "--m", "-1"], "m must be >= 0"),
     ],
 )
-def test_run_refuses_bad_parameters(tmp_path, capsys, flags, env, named):
+def test_run_refuses_bad_parameters(tmp_path, capsys, flags, named):
     out = tmp_path / "doc.json"
     argv = ["run", "--series", "alt-harmonic", *flags, "--out", str(out)]
-    assert run_cli(argv, env_extra=env) == 1
+    assert run_cli(argv) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 

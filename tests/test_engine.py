@@ -19,7 +19,6 @@ from serieswitness import (
     WitnessCertificate,
     catalog_series,
     exceedance_report,
-    explicit_talagrand,
     geometric_talagrand,
     grow_unbounded_subseries,
     limsup_subseries,
@@ -27,7 +26,7 @@ from serieswitness import (
     norms_at,
     prefix_norms,
 )
-from serieswitness.ideals import interval
+from serieswitness.ideals import explicit_talagrand, interval
 from serieswitness.series import _signs, crossing_scan
 from serieswitness.spaces import DELTA
 

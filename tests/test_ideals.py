@@ -8,19 +8,15 @@ from serieswitness import (
     SelectionStem,
     SubseqStem,
     catalog_series,
-    default_talagrand,
-    density_at,
-    density_ideal,
     exceedance_report,
-    explicit_talagrand,
-    fin_ideal,
     geometric_talagrand,
     i_bounded_verdict,
     interval,
     linear_talagrand,
     partial_sums,
-    talagrand_ideal,
 )
+from serieswitness.ideals import density_at, explicit_talagrand
+from serieswitness.runners import IDEALS
 
 from conftest import alt_harmonic_term, kahan_abs_prefix
 
@@ -42,12 +38,11 @@ def test_explicit_sequence():
         explicit_talagrand([3, 3])
 
 
-def test_default_talagrand():
-    assert default_talagrand(fin_ideal()).label == "linear"
-    assert default_talagrand(density_ideal()).label == "geometric"
-    given_seq = explicit_talagrand([1, 2, 4])
-    with pytest.raises(ValueError):
-        default_talagrand(talagrand_ideal(given_seq))
+def test_each_ideal_is_named_by_its_interval_sequence():
+    # fin is refuted by n_k = k, the density ideal by n_k = 2^k
+    assert {name: seq() for name, seq in IDEALS.items()} == {
+        "fin": linear_talagrand(), "density": geometric_talagrand(),
+    }
 
 
 def test_geometric_justifies_density_refutation():
@@ -109,7 +104,7 @@ def test_exceedance_alt_harmonic_against_direct_sums(alt):
 
 def test_verdict_bounded(unit):
     verdict = i_bounded_verdict(
-        unit, SelectionStem.ones(100), fin_ideal(), 2.0, 100
+        unit, SelectionStem.ones(100), IDEALS["fin"](), 2.0, 100
     )
     assert verdict.status == "bounded-evidence"
     assert verdict.interval_count == 0
@@ -117,7 +112,7 @@ def test_verdict_bounded(unit):
 
 def test_verdict_unbounded_evidence(unit):
     verdict = i_bounded_verdict(
-        unit, SelectionStem.ones(64), density_ideal(), 0.5, 64
+        unit, SelectionStem.ones(64), IDEALS["density"](), 0.5, 64
     )
     assert verdict.status == "i-unbounded-evidence"
     assert verdict.interval_count == 5
@@ -126,7 +121,7 @@ def test_verdict_unbounded_evidence(unit):
 
 def test_verdict_bounded_alt_harmonic(alt):
     verdict = i_bounded_verdict(
-        alt, SubseqStem.identity(1000), density_ideal(), 10.0, 1000
+        alt, SubseqStem.identity(1000), IDEALS["density"](), 10.0, 1000
     )
     assert verdict.status == "bounded-evidence"
 
@@ -134,14 +129,14 @@ def test_verdict_bounded_alt_harmonic(alt):
 def test_verdict_undecided(alt):
     # some exceedances but no whole geometric interval at this bound
     verdict = i_bounded_verdict(
-        alt, SubseqStem.identity(10), density_ideal(), 0.6, 10
+        alt, SubseqStem.identity(10), IDEALS["density"](), 0.6, 10
     )
     assert verdict.status == "undecided"
 
 
 def test_verdict_horizon_error(alt):
     with pytest.raises(HorizonExceedsStem):
-        i_bounded_verdict(alt, SubseqStem.identity(5), fin_ideal(), 1.0, 10)
+        i_bounded_verdict(alt, SubseqStem.identity(5), IDEALS["fin"](), 1.0, 10)
 
 
 bounds = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)

@@ -16,7 +16,7 @@ from serieswitness import (
     norms_at,
     partial_sums,
 )
-from serieswitness.spaces import basis, scalar
+from serieswitness.spaces import basis
 
 from conftest import alt_harmonic_term, scalar_prefix_sums
 
@@ -36,9 +36,9 @@ def test_unknown_series():
 
 
 def test_catalog_term_examples(alt, unit, growing, decaying):
-    assert alt.term(3) == scalar(-1.0 / 3.0)
+    assert alt.term(3) == basis(1, -1.0 / 3.0)
     assert unit.term(5) == basis(5)
-    assert growing.term(4) == scalar(4.0)
+    assert growing.term(4) == basis(1, 4.0)
     assert decaying.term(3) == basis(2, -0.5)
     assert decaying.term(4) == basis(2, 0.5)
 
@@ -56,10 +56,10 @@ def test_partial_sums_first_two(alt):
 
 
 def test_partial_sums_selection_unit_basis(unit):
-    trace = partial_sums(unit, SelectionStem.from_word("10110"), 5)
+    trace = partial_sums(unit, SelectionStem([1, 0, 1, 1, 0]), 5)
     # once any term is selected, the sup norm is exactly 1
     assert trace.norms.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
-    trace = partial_sums(unit, SelectionStem.from_word("00110"), 5)
+    trace = partial_sums(unit, SelectionStem([0, 0, 1, 1, 0]), 5)
     assert trace.norms.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
@@ -75,7 +75,7 @@ def test_partial_sums_horizon_error(alt):
     with pytest.raises(HorizonExceedsStem):
         partial_sums(alt, SubseqStem.from_values((1, 2)), 3)
     with pytest.raises(HorizonExceedsStem):
-        partial_sums(alt, SelectionStem.from_word("101"), 4)
+        partial_sums(alt, SelectionStem([1, 0, 1]), 4)
 
 
 def test_norms_at_matches_independent_sums(alt):

@@ -164,16 +164,16 @@ def test_prefix_bijection_check():
 
 
 def test_selection_stem():
-    word = SelectionStem.from_word("10110")
+    word = SelectionStem([1, 0, 1, 1, 0])
     assert word.bits.tolist() == [1, 0, 1, 1, 0]
-    assert word.ones_positions() == (1, 3, 4)
+    assert word.word() == "10110"
     assert SelectionStem.ones(3).bits.tolist() == [1, 1, 1]
     with pytest.raises(ValueError):
         SelectionStem((1, 2))
 
 
 def test_selection_stem_keeps_one_read_only_word():
-    stem = SelectionStem.from_word("1011")
+    stem = SelectionStem([1, 0, 1, 1])
     word = stem.to_numpy()
     assert word is stem.to_numpy()
     assert word.dtype == np.int64 and word.tolist() == [1, 0, 1, 1]

@@ -532,7 +532,7 @@ def test_cm_exhausts_on_unit_basis(unit):
 def test_am_growing_real(growing):
     u = provision_candidate_stream(growing, 1000)
     cert = dense_open_witness_Am(
-        growing, GEO, u, 2, SelectionStem.from_word("10"), 1000
+        growing, GEO, u, 2, SelectionStem([1, 0]), 1000
     )
     # -1 + 4 = 3 crosses m = 2 at index 4; zeros freeze the sum there
     assert cert.stem.word() == "1001" + "0" * 11
@@ -559,7 +559,7 @@ def test_am_exhausts_on_unit_basis(unit):
 def test_am_base_word_already_crossing(growing):
     # the base word's own sum passes m: no 1s are added, zeros freeze it
     u = provision_candidate_stream(growing, 1000)
-    base = SelectionStem.from_word("01")
+    base = SelectionStem([0, 1])
     cert = dense_open_witness_Am(growing, GEO, u, 1, base, 1000)
     assert cert.stem.word().startswith("01")
     assert set(cert.stem.word()[2:]) <= {"0"}
@@ -772,12 +772,12 @@ _EXHAUSTIONS = {
     ),
     "am-never-passes": (
         lambda alt, growing: dense_open_witness_Am(
-            alt, GEO, _S([1, 2]), 0, SelectionStem.from_word("000")),
+            alt, GEO, _S([1, 2]), 0, SelectionStem([0, 0, 0])),
         ("dense-open-Am", "u never passes the initial word", 2, None),
     ),
     "am-no-sum-above": (
         lambda alt, growing: dense_open_witness_Am(
-            alt, GEO, _stream(alt, 300), 5, SelectionStem.from_word("0110"), 300),
+            alt, GEO, _stream(alt, 300), 5, SelectionStem([0, 1, 1, 0]), 300),
         ("dense-open-Am", "no selection partial sum above 5", 300, "0x1.1b2b3c70e5af1p+1"),
     ),
     "rearr-stem-exhausted": (
