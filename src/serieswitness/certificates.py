@@ -15,7 +15,7 @@ import math
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -483,6 +483,8 @@ def _rows_text(rows: Sequence[Any], level: int) -> str | None:
         return None
     if None in columns:
         return None
+    # a column of one spelling is fixed text, as in _spelled
+    columns = [texts[0] if texts.count(texts[0]) == len(texts) else texts for texts in columns]
     inner = "\n" + "  " * (level + 1)
     between = ",\n" + "  " * level
     heads = [opening + inner + labels[0]] + ["," + inner + label for label in labels[1:]]
@@ -492,13 +494,20 @@ def _rows_text(rows: Sequence[Any], level: int) -> str | None:
 
 def _interleave(parts: Sequence[str | list[str]], separator: str, count: int) -> str:
     """`count` rows joined by `separator` in one join.  Row i concatenates
-    the parts: a str is fixed text, a list holds each row's own text."""
-    pieces: list[Iterable[str]] = []
+    the parts: a str is fixed text, a list holds each row's own text.  A
+    lone list is joined once, with the fixed text on both sides."""
+    pieces: list[str | list[str]] = []
     for fixed, group in groupby(parts, key=lambda part: isinstance(part, str)):
-        pieces += [repeat("".join(group))] if fixed else group
+        pieces += ["".join(group)] if fixed else group
+    lists = [i for i, piece in enumerate(pieces) if not isinstance(piece, str)]
+    if len(lists) == 1 and count:
+        (at,) = lists
+        head, tail = "".join(pieces[:at]), "".join(pieces[at + 1:])
+        return head + (tail + separator + head).join(pieces[at]) + tail
+    rows = [repeat(piece) if isinstance(piece, str) else piece for piece in pieces]
     # a list ends the zip after `count` rows, even when every part is fixed
-    pieces.append([separator] * count)
-    return "".join(chain.from_iterable(zip(*pieces)))[: -len(separator)]
+    rows.append([separator] * count)
+    return "".join(chain.from_iterable(zip(*rows)))[: -len(separator)]
 
 
 def _indented(value: Any, level: int) -> str:

@@ -226,19 +226,20 @@ class PartialSumTrace:
 
 
 def _index_chunks(
-    indexer: IndexerStem, horizon: int
+    indexer: IndexerStem, horizon: int, after: int = 0
 ) -> Iterator[tuple[int, int, int, np.ndarray | None]]:
     """(first index, step, count, selection bits or None) of positions
-    1..horizon, chunk by chunk: each chunk is an arithmetic run of at most
-    _CHUNK series indices, made into an array only where it is summed.  A
-    run of the stem gives its own chunks; a selection stem weights term i
-    by its i-th bit."""
+    after + 1..horizon, chunk by chunk: each chunk is an arithmetic run of
+    at most _CHUNK series indices, made into an array only where it is
+    summed.  A run of the stem gives its own chunks; a selection stem
+    weights term i by its i-th bit."""
     if isinstance(indexer, SelectionStem):
         bits = indexer.to_numpy()[:horizon]
         for lo in range(0, bits.size, _CHUNK):
             yield lo + 1, 1, min(_CHUNK, bits.size - lo), bits[lo:lo + _CHUNK]
         return
-    for first, step, count in indexer.slice_runs(1, min(max(horizon, 0), len(indexer))).tolist():
+    end = min(max(horizon, 0), len(indexer))
+    for first, step, count in indexer.slice_runs(after + 1, end).tolist():
         for lo in range(0, count, _CHUNK):
             yield first + lo * step, step, min(_CHUNK, count - lo), None
 
@@ -251,26 +252,21 @@ def _cover_max(
     starts: np.ndarray, stops: np.ndarray, values: np.ndarray, length: int
 ) -> np.ndarray:
     """out[t] = max of values[j] over the j with starts[j] <= t < stops[j]
-    (0.0 where there is none), through a segment tree over 0..length-1."""
-    size = 1 << max(length - 1, 0).bit_length()
-    tree = np.zeros(2 * size)
-    lo, hi = starts + size, stops + size
-    while True:
-        live = lo < hi
-        if not live.any():
-            break
-        left = live & (lo & 1).astype(bool)
-        np.maximum.at(tree, lo[left], values[left])
-        lo = lo + left
-        right = live & (hi & 1).astype(bool)
-        hi = hi - right
-        np.maximum.at(tree, hi[right], values[right])
-        lo, hi = lo >> 1, hi >> 1
-    for depth in range(size.bit_length() - 1):
-        parents = tree[1 << depth: 2 << depth]
-        children = tree[2 << depth: 4 << depth].reshape(-1, 2)
-        np.maximum(children, parents[:, None], out=children)
-    return tree[size: size + length]
+    (0.0 where there is none).  An interval whose span lies in
+    [2^k, 2^(k+1)) is the union of its first and its last 2^k positions.
+    Level by level from the widest k down, out[t] holds the max over the
+    windows of 2^k positions that start at t, and halving a level folds
+    each window into its two halves.  Max is exact, and the memory held is
+    a few arrays of the chunk's length."""
+    level = np.frexp(stops - starts)[1] - 1  # -1 for an empty interval
+    out = np.zeros(length)
+    for k in range(int(level.max(initial=0)), -1, -1):
+        at = level == k
+        np.maximum.at(out, np.r_[starts[at], stops[at] - (1 << k)], np.tile(values[at], 2))
+        if k:
+            half = 1 << (k - 1)
+            np.maximum(out[half:], out[:-half], out=out[half:])
+    return out
 
 
 def _sup_chunk(
@@ -281,54 +277,61 @@ def _sup_chunk(
     (keys, held) is the running sum so far, as sorted coordinates and their
     values; it is returned updated.  Each coordinate is summed term by term
     in stem order, so every value is the one a sequential sparse sum gives.
+    The norm at a position is the largest absolute value live there.  A
+    value that lasts to the chunk's end enters through one running max from
+    its update; a value that a later update of its coordinate replaces,
+    carried in or made in the chunk, through _cover_max over the positions
+    it lives; and the carried-in values left alone as one floor.
     """
     length = coords.size
     order = np.argsort(coords, kind="stable")
     coord = coords[order]
-    first = np.r_[True, coord[1:] != coord[:-1]]
-    last = np.r_[coord[1:] != coord[:-1], True]
-    touched = coord[first]
+    # sorted entries: heads open a coordinate, rest follow one of their own
+    same = coord[1:] == coord[:-1]
+    heads, rest = np.flatnonzero(np.r_[True, ~same]), np.flatnonzero(same) + 1
+    touched = coord[heads]
     where = np.searchsorted(keys, touched)
-    found = where < keys.size
-    found[found] = keys[where[found]] == touched[found]
+    found = np.flatnonzero(where < keys.size)
+    found = found[keys[where[found]] == touched[found]]
     prior = np.zeros(touched.size)
     prior[found] = held[where[found]]
     sums = coeffs[order]
-    sums[first] += prior
-    steps = np.arange(length)
-    rank = steps - np.maximum.accumulate(np.where(first, steps, 0))
-    by_rank = np.argsort(rank, kind="stable")
+    sums[heads] += prior
+    rank = rest - heads[np.searchsorted(heads, rest) - 1]
+    by_rank = rest[np.argsort(rank, kind="stable")]
     bounds = np.cumsum(np.bincount(rank))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         at = by_rank[lo:hi]
         sums[at] += sums[at - 1]
-    # every value lives from its update to the next update of its coordinate
-    stops = np.r_[order[1:], length]
-    stops[last] = length
+    # the entries rest - 1 are replaced by the entries rest
+    values = np.abs(sums)
+    lived = np.r_[values[rest - 1], np.abs(prior[found])]
+    values[rest - 1] = 0.0
+    norms = np.empty(length)
+    norms[order] = values
+    np.fmax.accumulate(norms, out=norms)
+    if lived.size:
+        starts = np.r_[order[rest - 1], np.zeros(found.size, dtype=np.int64)]
+        covered = _cover_max(starts, order[np.r_[rest, heads[found]]], lived, length)
+        np.maximum(norms, covered, out=norms)
     untouched = np.ones(keys.size, dtype=bool)
     untouched[where[found]] = False
-    floor = float(np.abs(held[untouched]).max(initial=0.0))
-    starts = np.r_[order, np.zeros(int(found.sum()), dtype=np.int64)]
-    stops = np.r_[stops, order[first][found]]
-    values = np.abs(np.r_[sums, prior[found]])
-    keep = values > floor
-    norms = _cover_max(starts[keep], stops[keep], values[keep], length)
-    np.maximum(norms, floor, out=norms)
-    keys = np.r_[keys[untouched], coord[last]]
-    held = np.r_[held[untouched], sums[last]]
+    np.maximum(norms, np.abs(held[untouched]).max(initial=0.0), out=norms)
+    keys = np.r_[keys[untouched], touched]
+    held = np.r_[held[untouched], sums[np.r_[heads[1:], length] - 1]]
     ordered = np.argsort(keys, kind="stable")
     return norms, keys[ordered], held[ordered]
 
 
-def _packed_norms(
+def _packed_sums(
     series: SeriesOracle, pieces: list[tuple[int, int, int]], running: float
 ) -> tuple[np.ndarray, float]:
-    """Norms over consecutive chunks (first, step, count) of a run stem in
-    one block, and the running sum after them: one `columns` call for all
-    of them, with each chunk's arithmetic the same as on its own.  The
-    indices are made straight from the triples as one (chunks x longest)
-    array, whose padding is never evaluated.  The in-chunk sums are one
-    cumsum along its rows with the padding at zero, the chunk-start sums
+    """Signed sums over consecutive chunks (first, step, count) of a run
+    stem in one block, and the running sum after them: one `columns` call
+    for all of them, with each chunk's arithmetic the same as on its own.
+    The indices are made straight from the triples as one (chunks x
+    longest) array, whose padding is never evaluated.  The in-chunk sums are
+    one cumsum along its rows with the padding at zero, the chunk-start sums
     one cumsum over [running, chunk totals...], and each value is start +
     in-chunk sum."""
     firsts, steps, counts = np.array(pieces, dtype=np.int64).T
@@ -339,14 +342,17 @@ def _packed_norms(
     sums = np.cumsum(terms, axis=1)
     starts = np.cumsum(np.r_[running, sums[np.arange(counts.size), counts - 1]])
     sums += starts[:-1, None]
-    return np.abs(sums[inside]), float(starts[-1])
+    return sums[inside], float(starts[-1])
 
 
 def _norm_chunks(
-    series: SeriesOracle, indexer: IndexerStem, horizon: int
+    series: SeriesOracle, indexer: IndexerStem, horizon: int,
+    after: int = 0, running: float = 0.0,
 ) -> Iterator[np.ndarray]:
-    """The single partial-sum engine: norms of the running partial sums at
-    positions 1..horizon, in consecutive pieces, ending early with the stem.
+    """The single partial-sum engine: the partial sums at positions
+    after + 1..horizon, in consecutive pieces, ending early with the stem.
+    A scalar piece holds signed sums, a sequence-space piece sup norms;
+    readers take np.abs of the pieces, which are theirs to change.
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
     of the arithmetic that norms_at and crossing_scan share.  A long chunk is
@@ -354,14 +360,18 @@ def _norm_chunks(
     time (SeriesOracle.run_coefficients) and its cumsum starting from the
     in-chunk sum so far, which is added into its first term: the values stay
     the same bit for bit, the temporaries stay in cache, and a scan that
-    stops inside a chunk has paid for no more than its blocks.  Short chunks of a run stem are packed into one block while
-    (chunks x longest chunk) stays within _BLOCK (see _packed_norms), with
-    the same values."""
-    running = 0.0
+    stops inside a chunk has paid for no more than its blocks.  Short chunks
+    of a run stem are packed into one block while (chunks x longest chunk)
+    stays within _BLOCK (see _packed_sums), with the same values: the chunk
+    starts are still sequential sums of the chunk totals.  That running sum
+    is the only state between chunks, and a run stem's chunks are cut along
+    its runs, so a scan may start at a run end `after` from the signed sum
+    there, `running`, with the same values bit for bit.  A sequence-space
+    pass carries a sparse sum (see _sup_chunk) and starts at position 1."""
     keys, held = np.empty(0, dtype=np.int64), np.empty(0)
     packed: list[tuple[int, int, int]] = []
     width = 0
-    for first, step, count, bits in _index_chunks(indexer, horizon):
+    for first, step, count, bits in _index_chunks(indexer, horizon, after):
         if not series.is_scalar:
             coords, coeffs = series.columns(_indices(first, step, count))
             if bits is not None:
@@ -370,8 +380,8 @@ def _norm_chunks(
             yield norms
             continue
         if packed and (len(packed) + 1) * max(width, count) > _BLOCK:
-            norms, running = _packed_norms(series, packed, running)
-            yield norms
+            sums, running = _packed_sums(series, packed, running)
+            yield sums
             packed, width = [], 0
         if bits is None and count <= _BLOCK:
             packed.append((first, step, count))
@@ -387,22 +397,10 @@ def _norm_chunks(
             csum = np.cumsum(terms, out=terms)
             carry = csum[-1]
             csum += running
-            yield np.abs(csum, out=csum)
+            yield csum
         running = float(running + carry)
     if packed:
-        yield _packed_norms(series, packed, running)[0]
-
-
-def _norms_between(
-    series: SeriesOracle, indexer: IndexerStem, start_pos: int, end_pos: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first position, norms) for the positions start_pos..end_pos."""
-    covered = 0
-    for norms in _norm_chunks(series, indexer, end_pos):
-        skip = max(start_pos - 1 - covered, 0)
-        if skip < norms.size:
-            yield covered + skip + 1, norms[skip:]
-        covered += norms.size
+        yield _packed_sums(series, packed, running)[0]
 
 
 def norms_at(
@@ -423,33 +421,35 @@ def norms_at(
     unique, inverse = np.unique(pos, return_inverse=True)
     out = np.empty(unique.size, dtype=np.float64)
     covered = 0
-    for norms in _norm_chunks(series, indexer, int(unique[-1])):
-        lo, hi = np.searchsorted(unique, [covered + 1, covered + norms.size + 1])
-        out[lo:hi] = norms[unique[lo:hi] - 1 - covered]
-        covered += norms.size
+    for sums in _norm_chunks(series, indexer, int(unique[-1])):
+        lo, hi = np.searchsorted(unique, [covered + 1, covered + sums.size + 1])
+        out[lo:hi] = sums[unique[lo:hi] - 1 - covered]
+        covered += sums.size
     if covered < unique[-1]:
         missing = int(unique[np.searchsorted(unique, covered + 1)])
         raise HorizonExceedsStem(
             f"stem of length {covered} cannot reach position {missing}"
         )
-    return out[inverse]
+    return np.abs(out, out=out)[inverse]
 
 
 class Scan(NamedTuple):
     """What one crossing scan found: the crossing positions; the peak, the
     largest norm from peak_from to the last position read (0.0 if none;
-    always 0.0 without a peak_from); and the norm at each crossing
-    position."""
+    always 0.0 without a peak_from); the norm at each crossing position;
+    and the signed partial sum at the last crossing (its norm in sequence
+    space, 0.0 without a crossing), from which a later scan may resume."""
 
     positions: list[int]
     peak: float
     values: list[float]
+    signed: float
 
 
 def crossing_scan(
     series: SeriesOracle, indexer: IndexerStem, thresholds: Sequence[float], *,
     strict: bool = False, start_pos: int = 1, end_pos: int | None = None,
-    peak_from: int | None = None,
+    peak_from: int | None = None, resume: Scan | None = None,
 ) -> Scan:
     """The one reduction of the partial-sum engine.  In one scan of
     [start_pos, end_pos] it finds the first position whose norm passes
@@ -459,15 +459,28 @@ def crossing_scan(
     so a search that comes up short has read all of [start_pos, end_pos]
     and its peak is the maximum over [peak_from, end_pos]: a failed search
     reports its best norm without a second scan.  With no thresholds the
-    whole range is read for its peak, and nothing without a peak_from."""
+    whole range is read for its peak, and nothing without a peak_from.
+
+    `resume`, an earlier scan of a scalar series whose last crossing p is a
+    run end of this stem, agreeing with it through p, starts this scan at
+    p + 1 from the signed sum and the peak there (the same peak_from and a
+    start_pos past p): values and peak are a full scan's, bit for bit."""
     if not thresholds and peak_from is None:
-        return Scan([], 0.0, [])
+        return Scan([], 0.0, [], 0.0)
     end_pos = len(indexer) if end_pos is None else min(end_pos, len(indexer))
-    lo = start_pos if peak_from is None else min(start_pos, peak_from)
+    after, running, peak = 0, 0.0, None
+    if resume is not None:
+        after, running, peak = resume.positions[-1], resume.signed, resume.peak
+        if not series.is_scalar or after not in getattr(indexer, "ends", ()):
+            raise ValueError(f"a scan resumes only at a run end of a scalar stem, not {after}")
     found: list[int] = []
     values: list[float] = []
-    peak = None
-    for first, norms in _norms_between(series, indexer, lo, end_pos):
+    signed = 0.0
+    covered = after
+    for sums in _norm_chunks(series, indexer, end_pos, after, running):
+        first = covered + 1
+        covered += sums.size
+        norms = np.abs(sums)
         at = max(start_pos - first, 0)
         while len(found) < len(thresholds):
             t = thresholds[len(found)]
@@ -477,6 +490,7 @@ def crossing_scan(
             at += int(np.argmax(hits)) + 1
             found.append(first + at - 1)
             values.append(float(norms[at - 1]))
+            signed = float(sums[at - 1])
         done = bool(thresholds) and len(found) == len(thresholds)
         if peak_from is not None:
             seen = norms[max(peak_from - first, 0): at if done else None]
@@ -485,7 +499,7 @@ def crossing_scan(
                 peak = high if peak is None else max(peak, high)
         if done:
             break
-    return Scan(found, 0.0 if peak is None else peak, values)
+    return Scan(found, 0.0 if peak is None else peak, values, signed)
 
 
 def prefix_norms(
@@ -497,7 +511,7 @@ def prefix_norms(
         raise HorizonExceedsStem(
             f"stem of length {norms.size} cannot reach position {norms.size + 1}"
         )
-    return norms
+    return np.abs(norms, out=norms)
 
 
 def partial_sums(

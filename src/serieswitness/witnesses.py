@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .ideals import TalagrandSequence, interval
-from .series import _BLOCK, SeriesOracle, catalog_series, crossing_scan, norms_at
+from .series import _BLOCK, Scan, SeriesOracle, catalog_series, crossing_scan, norms_at
 from .spaces import DELTA
 from .stems import (
     IndexerStem,
@@ -342,22 +342,26 @@ def _escape(
     series: SeriesOracle, construction: str, base: IndexerStem, stream: IndexerStem,
     tail_start: int, scan_end: int, level: float, *,
     strict: bool = True, start_pos: int = 1, reason: str | None = None,
-) -> tuple[IndexerStem, int, float]:
+    resume: Scan | None = None,
+) -> tuple[IndexerStem, Scan]:
     """Continue the base stem with the stream's positions tail_start..scan_end
     and find the first position from start_pos whose partial-sum norm
     passes level (> level + DELTA if strict, else >= level).
 
-    Returns (candidate, that position, its norm).  A scan that comes up
-    short raises ScanExhausted at scan_end with the largest norm it read
-    from position 1."""
+    Returns the candidate and the scan (its one crossing is that position).
+    `resume`, an earlier such scan whose crossing ends a run of the base
+    stem, starts the scan there (see crossing_scan).  A scan that comes up
+    short raises ScanExhausted at scan_end with the largest norm from
+    position 1, the resumed scan's included."""
     candidate = base.concat_runs(stream.slice_runs(tail_start, scan_end))
     scan = crossing_scan(
-        series, candidate, [float(level)], strict=strict, start_pos=start_pos, peak_from=1
+        series, candidate, [float(level)], strict=strict, start_pos=start_pos, peak_from=1,
+        resume=resume,
     )
     if not scan.positions:
         reason = reason or f"no partial sum above {level:g}"
         raise ScanExhausted(construction, reason, scan_end, best=scan.peak)
-    return candidate, scan.positions[0], scan.values[0]
+    return candidate, scan
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +548,12 @@ def subseries_to_rearrangement(
     prefix crosses j, then closes the prefix into a bijection of an
     initial segment.  The certificate records one crossing per stage and
     the bijection boundaries.
+
+    On a scalar series, stage j + 1 resumes its scan at stage j's crossing,
+    where its candidate's runs are cut, from the signed sum and peak there:
+    each position is read once, with the crossings and best norm of a scan
+    from position 1.  A sequence-space stage scans from position 1; it
+    exhausts within two terms.
     """
     if depth < 0:
         raise PreconditionViolation("depth must be >= 0")
@@ -566,6 +576,7 @@ def subseries_to_rearrangement(
     values: list[float] = []
     boundaries: list[int] = []
     scan_end = min(len(stem), horizon)
+    scan = None
     for level in range(1, depth + 1):
         k_prev = len(q)
         tail_start = stem.first_position_above(k_prev)
@@ -579,14 +590,15 @@ def subseries_to_rearrangement(
                 f"stage {level} tail starts past the scan horizon",
                 scan_end,
             )
-        candidate, position, value = _escape(
+        candidate, scan = _escape(
             series, "rearrangement", q, stem, tail_start, scan_end, level,
             strict=False, start_pos=k_prev + 1,
             reason=f"stage {level} never crossed {level}",
+            resume=scan if series.is_scalar else None,
         )
-        positions.append(position)
-        values.append(value)
-        q = extend_to_prefix_bijection(candidate.prefix(position))
+        positions += scan.positions
+        values += scan.values
+        q = extend_to_prefix_bijection(candidate.prefix(scan.positions[0]))
         boundaries.append(len(q))
     return WitnessCertificate(
         construction="rearrangement",
@@ -627,14 +639,14 @@ def nowhere_dense_witness_subseq(
             len(s_prime),
         )
     scan_end = min(len(s_prime), tail_start + horizon - 1)
-    candidate, position, value = _escape(
+    candidate, scan = _escape(
         series, "nowhere-dense-subseq", base, s_prime, tail_start, scan_end, m
     )
     return WitnessCertificate(
         construction="nowhere-dense-subseq",
         series_name=series.name,
-        stem=candidate.prefix(max(position, k + 1)),
-        checkpoints=_checked_checkpoints([position], [m], ">", [value]),
+        stem=candidate.prefix(max(scan.positions[0], k + 1)),
+        checkpoints=_checked_checkpoints(scan.positions, [m], ">", scan.values),
         base=base,
         details=(("m", float(m)), ("tail-start", tail_start)),
     )
@@ -673,15 +685,15 @@ def nowhere_dense_witness_rearr(
             "nowhere-dense-rearr", "p' ends at the covering point", len(p_prime)
         )
     scan_end = min(len(p_prime), tail_start + horizon - 1)
-    candidate, position, value = _escape(
+    candidate, scan = _escape(
         series, "nowhere-dense-rearr", base, p_prime, tail_start, scan_end, m
     )
-    witness = extend_to_prefix_bijection(candidate.prefix(max(position, len(base) + 1)))
+    witness = extend_to_prefix_bijection(candidate.prefix(max(scan.positions[0], len(base) + 1)))
     return WitnessCertificate(
         construction="nowhere-dense-rearr",
         series_name=series.name,
         stem=witness,
-        checkpoints=_checked_checkpoints([position], [m], ">", [value]),
+        checkpoints=_checked_checkpoints(scan.positions, [m], ">", scan.values),
         base=base,
         stage_boundaries=(len(witness),),
         details=(("m", float(m)), ("tail-start", tail_start)),
@@ -837,10 +849,11 @@ def dense_open_witness_Bm(
         raise PreconditionViolation(
             "u must pass the base stem: u(r+1) <= base's last entry"
         )
-    candidate, l_r, _ = _escape(
+    candidate, scan = _escape(
         series, "dense-open-Bm", base, u, r + 1, min(len(u), horizon), m + 1,
         start_pos=r + 1, reason=f"no partial sum above {m + 1}",
     )
+    l_r = scan.positions[0]
     after = candidate.value_at(l_r)
     k, block = _padding_block(series, seq, "dense-open-Bm", m, l_r, after, horizon)
     stem = candidate.prefix(l_r).concat_runs(block.runs)
@@ -880,10 +893,11 @@ def dense_open_witness_Cm(
         raise ScanExhausted(
             "dense-open-Cm", "t ends before the tail may start", len(t)
         )
-    candidate, pos_mr, _ = _escape(
+    candidate, scan = _escape(
         series, "dense-open-Cm", base, t, tail_start, min(len(t), horizon), m + 1,
         start_pos=r + 1, reason=f"no partial sum above {m + 1}",
     )
+    pos_mr = scan.positions[0]
     m_r = tail_start + (pos_mr - r) - 1
     head = candidate.prefix(pos_mr)
     # the base's values are at most z, so past z the head's largest value is

@@ -549,6 +549,12 @@ _trees = st.recursive(
           "other keys": [{"a": 1}, {"b": 1}], "pairs": [[0, 5], [1, 3]]})
 @example({1: "x", 2.5: [True, None], None: {}})
 @example({"mixed keys": {1: 0, "1": 0}})
+# columns equal under == but not in spelling, a lone varying column, rows
+# that are all fixed text
+@example({"zeros": [{"a": 0.0, "b": 1, "c": 7}, {"a": -0.0, "b": 1.0, "c": 8},
+                    {"a": 0.0, "b": True, "c": 9}],
+          "lone": [{"k": "x", "p": 1, "v": 2.5}, {"k": "x", "p": 2, "v": 2.5}],
+          "pairs": [[1, 0.0], [1, -0.0]], "fixed": [[3, "s"], [3, "s"]]})
 def test_payload_text_is_the_standard_librarys(tree):
     doc = {"schema_version": "1", "result": tree, "timing": {"seconds": 0.25}}
     assert _outcome(payload_without_timing, doc) == _outcome(_stdlib_payload, doc)

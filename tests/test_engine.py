@@ -143,6 +143,59 @@ def test_sup_norms_of_paired_coordinates(monkeypatch):
         )
 
 
+def reference_sup_chunk(coords, coeffs, keys, held):
+    """The sup norm after each term of a chunk, and the sum after it as
+    sorted coordinates and values, from a dict summed term by term."""
+    sums = dict(zip(keys.tolist(), held.tolist()))
+    norms = []
+    for coord, coeff in zip(coords.tolist(), coeffs.tolist()):
+        sums[coord] = sums.get(coord, 0.0) + coeff
+        norms.append(max(map(abs, sums.values())))
+    order = sorted(sums)
+    return np.array(norms), np.array(order, dtype=np.int64), np.array([sums[k] for k in order])
+
+
+def _synthetic_chunk(rng, length, width):
+    """Single-coordinate terms on coordinates 1..width, so a coordinate
+    comes back many times, with zero coefficients of both signs, and a
+    carried-in sum on some of 1..width + 3."""
+    coords = rng.integers(1, width + 1, length)
+    pool = np.r_[rng.normal(size=8), rng.integers(-3, 4, 4), 0.0, -0.0, 1e-300, -2.5]
+    coeffs = rng.choice(pool, length)
+    keys = np.sort(rng.choice(np.arange(1, width + 4), rng.integers(0, width + 4), replace=False))
+    held = rng.choice(pool, keys.size)
+    return coords, coeffs, keys.astype(np.int64), held
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sup_chunk_matches_a_dict_reference_on_synthetic_terms(seed):
+    # three and more updates of a coordinate, values replaced after long
+    # lives and carried-in values that get replaced, none of which the
+    # catalog series reach
+    rng = np.random.default_rng(seed)
+    cases = [(int(rng.integers(1, 300)), int(rng.integers(1, 40))) for _ in range(60)]
+    for length, width in cases + [(3_000, 2), (2_000, 600)]:
+        coords, coeffs, keys, held = _synthetic_chunk(rng, length, width)
+        expected = reference_sup_chunk(coords, coeffs, keys, held)
+        got = series_module._sup_chunk(coords, coeffs.copy(), keys, held)
+        for a, b in zip(got, expected):
+            assert_bitwise_equal(a, b)
+
+
+def test_a_sequence_space_pass_holds_a_few_chunk_arrays():
+    # decaying-signed-c0 puts -1/k and then +1/k on coordinate k: along the
+    # odd indices and then the even ones, the second run replaces every value
+    # of the first after it has lived for half the pass, so the interval max
+    # covers spans of 1 to 2^19 positions
+    half = series_module._CHUNK // 2
+    stem = RearrStem(((1, 2, half), (2, 2, half)))
+    series = catalog_series("decaying-signed-c0")
+    scan, peak_bytes = traced_peak(lambda: crossing_scan(series, stem, [], peak_from=1))
+    assert scan.peak == 1.0
+    # a table of every power-of-two span would hold 19 more of them
+    assert peak_bytes < 16 * 8 * series_module._CHUNK
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -201,10 +254,11 @@ def test_norms_at_across_scalar_chunks(monkeypatch):
     assert np.array_equal(norms_at(series, stem, [100, 33, 1]), norms[[99, 32, 0]])
     assert peak(series, stem, 20, 100) == float(norms[19:].max())
     scan = crossing_scan(series, stem, [10.0], start_pos=60, peak_from=20)
-    assert scan == ([], float(norms[19:].max()), [])
-    # crossings in two chunks carry the norms at their positions
+    assert scan == ([], float(norms[19:].max()), [], 0.0)
+    # crossings in two chunks carry the norms at their positions, and the
+    # last one its signed sum (the partial sums of alt-harmonic are negative)
     scan = crossing_scan(series, stem, [0.7, 0.7, 0.7], start_pos=60)
-    assert scan == ([61, 63, 65], 0.0, norms[[60, 62, 64]].tolist())
+    assert scan == ([61, 63, 65], 0.0, norms[[60, 62, 64]].tolist(), -norms[64])
     assert crossing_scan(series, stem, [float(norms[60])], start_pos=60).positions == [61]
 
 
@@ -420,6 +474,42 @@ def test_packed_engine_equals_the_per_run_reference(drawn, name):
     assert_bitwise_equal(got, reference_scalar_norms(series, stem, horizon, chunk))
 
 
+@settings(max_examples=100, deadline=None)
+@given(packed_stems(), st.sampled_from(["alt-harmonic", "growing-real"]), st.data())
+def test_a_scan_resumed_at_a_run_end_is_the_full_scan(drawn, name, data):
+    # the seed scan crosses 0.0 at p itself, so it holds the signed sum
+    # there and the peak over [1, p]; repr tells -0.0 from 0.0
+    block, chunk, stem, horizon = drawn
+    series = catalog_series(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_CHUNK", chunk)
+        patch.setattr(series_module, "_BLOCK", block)
+        norms = prefix_norms(series, stem, horizon)
+        for p in stem.ends[stem.ends < horizon].tolist():
+            seed = crossing_scan(series, stem, [0.0], start_pos=p, peak_from=1)
+            assert seed.positions == [p] and seed.values == [float(norms[p - 1])]
+            start = data.draw(st.integers(p + 1, horizon))
+            levels = sorted(data.draw(st.lists(
+                st.sampled_from(norms[start - 1:].tolist() + [float(norms.max()) + 1.0]),
+                min_size=1, max_size=3)))
+            for strict in (False, True):
+                scans = [crossing_scan(series, stem, levels, strict=strict, start_pos=start,
+                                       end_pos=horizon, peak_from=1, resume=resume)
+                         for resume in (None, seed)]
+                assert repr(scans[0]) == repr(scans[1])
+
+
+def test_a_scan_resumes_only_at_a_run_end_of_a_scalar_stem():
+    stem = RearrStem(((1, 1, 10), (20, 1, 10)))
+    seed = crossing_scan(catalog_series("alt-harmonic"), stem, [0.0], start_pos=5)
+    with pytest.raises(ValueError, match="run end"):
+        crossing_scan(catalog_series("alt-harmonic"), stem, [1.0], start_pos=6, resume=seed)
+    seed = crossing_scan(catalog_series("decaying-signed-c0"), stem, [0.0], start_pos=10)
+    with pytest.raises(ValueError, match="run end"):
+        crossing_scan(catalog_series("decaying-signed-c0"), stem, [1.0], start_pos=11,
+                      resume=seed)
+
+
 def test_short_runs_share_one_term_rule_call():
     # 10,000 random values compress into about as many runs of one or two
     # values, which fit one block: one term-rule call for all of them
@@ -483,7 +573,7 @@ def test_first_crossings_walks_the_levels_in_one_scan():
     assert sum(seen) == series_module._BLOCK
     # no levels and no peak asked for: nothing to read
     seen.clear()
-    assert crossing_scan(series, stem, []) == ([], 0.0, [])
+    assert crossing_scan(series, stem, []) == ([], 0.0, [], 0.0)
     assert sum(seen) == 0
 
 

@@ -93,6 +93,16 @@ DEEP_GOLDEN = (0, '1ec1ead314e23113d14a00f5aa4b5f003a77b147c1b5ed9174d8d1842110a
                [4, 880, 1_414_491], [8, 1752, 2_827_230])
 
 
+# Depth-4 pipelines of alt-harmonic at horizon 3e6: stage 4 never crosses 4,
+# so both are exhaustions whose stages 2 to 4 resume where the stage before
+# crossed.  (flags) -> (exit code, sha256); pinned before the stages resumed.
+DEPTH_4_CELLS = {
+    ("--construction", "rearrangement", "--depth", "4"):
+        (2, '725a7fca9112dc69d67c55205ead8eb69274504744fdcdebe6a30a619a5a62af'),
+    ("--construction", "dense-open-cm", "--m", "3"):
+        (2, '38872409b67768d5b4f9c1c44c52bc48a1bc6ab9e420a27d092211551b78e80f'),
+}
+
 def digest_of(path):
     return hashlib.sha256(payload_without_timing(load_document(str(path))).encode()).hexdigest()
 
@@ -123,6 +133,14 @@ def test_deep_cell_is_pinned_and_passes_the_independent_checker(tmp_path):
             result["stage_boundaries"]) == DEEP_GOLDEN
     assert _perfbench_module("checks").check_document(doc) == []
 
+
+@pytest.mark.parametrize("flags", sorted(DEPTH_4_CELLS), ids=" ".join)
+def test_depth_4_pipelines_are_pinned(tmp_path, flags):
+    out = tmp_path / "doc.json"
+    code = main(["run", "--series", "alt-harmonic", *flags, "--horizon", "3000000",
+                 "--out", str(out)])
+    assert (code, digest_of(out)) == DEPTH_4_CELLS[flags]
+    assert main(["verify", str(out)]) == 0
 
 def _perfbench_module(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

@@ -172,9 +172,9 @@ def work(monkeypatch):
 @pytest.mark.parametrize(
     "flags, positions, calls, terms",
     [
-        ({"construction": "rearrangement", "depth": 3}, 1_542_083, 50, 1_542_083),
+        ({"construction": "rearrangement", "depth": 3}, 1_541_199, 50, 1_541_199),
         # an exhaustion: p' of depth 3 never passes 2 after the value 1
-        ({"construction": "nowhere-dense-rearr", "m": 2}, 4_369_309, 139, 4_369_309),
+        ({"construction": "nowhere-dense-rearr", "m": 2}, 4_368_425, 139, 4_368_425),
     ],
     ids=["rearrangement-depth-3", "nowhere-dense-rearr-m-2"],
 )
@@ -187,6 +187,29 @@ def test_registry_work_counts(work, flags, positions, calls, terms):
         pass
     assert seen == {"positions": positions, "calls": calls, "terms": terms}
 
+
+def test_rearrangement_stages_resume_where_the_last_one_crossed(work, monkeypatch):
+    # the depth-4 pipeline behind dense-open-cm m=3 exhausts in stage 4.  Its
+    # scans, one engine pass each: the growth levels, their recompute, then
+    # stages 1 to 4, each resumed at the crossing before it.  Scanned from
+    # position 1, stages 3 and 4 streamed 1,443,544 and 2,913,615 positions.
+    _, seen = work
+    scans = []
+    counting = series_module._norm_chunks
+
+    def per_scan(*args):
+        scans.append(0)
+        for norms in counting(*args):
+            scans[-1] += norms.size
+            yield norms
+
+    monkeypatch.setattr(series_module, "_norm_chunks", per_scan)
+    config = resolve_config({"series": "alt-harmonic", "horizon": 3_000_000,
+                             "construction": "dense-open-cm", "m": 3})
+    with pytest.raises(ScanExhausted, match="stage 4"):
+        execute_config(config)
+    assert scans == [32_768, 1_674, 32_768, 32_772, 1_442_664, 1_499_124]
+    assert seen == {"positions": 3_041_770, "calls": 97, "terms": 3_041_770}
 
 def test_open_set_work_counts(work):
     counted, seen = work
