@@ -456,6 +456,17 @@ def _column_texts(column: Sequence[Any]) -> list[str] | None:
     return list(map(_scalar_text, column))
 
 
+def _field_texts(column: Sequence[Any]) -> str | list[str] | None:
+    """The texts of a field down the rows, or its one text if they are all
+    one spelling.  Equal values of one type spell the same but float zeros."""
+    first, kind = column[0], type(column[0])
+    if kind in (str, int, float, bool) and (kind is not float or first != 0.0) \
+            and column.count(first) == len(column) and set(map(type, column)) == {kind}:
+        return _scalar_text(first)
+    texts = _column_texts(column)
+    return texts[0] if texts and texts.count(texts[0]) == len(texts) else texts
+
+
 def _rows_text(rows: Sequence[Any], level: int) -> str | None:
     """The items of a list at nesting `level`, joined as the list joins
     them, if they are all dicts with the same str keys or all lists of one
@@ -470,21 +481,19 @@ def _rows_text(rows: Sequence[Any], level: int) -> str | None:
     if kinds == {dict} and set(map(type, first)) == {str}:
         keys = sorted(first)
         try:
-            columns = [_column_texts(list(map(itemgetter(k), rows))) for k in keys]
+            columns = [_field_texts(list(map(itemgetter(k), rows))) for k in keys]
         except KeyError:  # another row has other keys
             return None
         labels = [encode_basestring_ascii(k) + ": " for k in keys]
         opening, closing = "{", "}"
     elif kinds <= {list, tuple}:
-        columns = [_column_texts(column) for column in zip(*rows)]
+        columns = [_field_texts(column) for column in zip(*rows)]
         labels = [""] * len(first)
         opening, closing = "[", "]"
     else:  # dicts with a key that is not a str
         return None
     if None in columns:
         return None
-    # a column of one spelling is fixed text, as in _spelled
-    columns = [texts[0] if texts.count(texts[0]) == len(texts) else texts for texts in columns]
     inner = "\n" + "  " * (level + 1)
     between = ",\n" + "  " * level
     heads = [opening + inner + labels[0]] + ["," + inner + label for label in labels[1:]]

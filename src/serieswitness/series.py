@@ -252,12 +252,10 @@ def _cover_max(
     starts: np.ndarray, stops: np.ndarray, values: np.ndarray, length: int
 ) -> np.ndarray:
     """out[t] = max of values[j] over the j with starts[j] <= t < stops[j]
-    (0.0 where there is none).  An interval whose span lies in
-    [2^k, 2^(k+1)) is the union of its first and its last 2^k positions.
-    Level by level from the widest k down, out[t] holds the max over the
-    windows of 2^k positions that start at t, and halving a level folds
-    each window into its two halves.  Max is exact, and the memory held is
-    a few arrays of the chunk's length."""
+    (0.0 where there is none).  A span in [2^k, 2^(k+1)) is the union of its
+    first and last 2^k positions.  From the widest k down, out[t] is the max
+    over the windows of 2^k positions from t, and each level is halved into
+    the next: exact, in a few arrays of the chunk's length."""
     level = np.frexp(stops - starts)[1] - 1  # -1 for an empty interval
     out = np.zeros(length)
     for k in range(int(level.max(initial=0)), -1, -1):
@@ -277,11 +275,9 @@ def _sup_chunk(
     (keys, held) is the running sum so far, as sorted coordinates and their
     values; it is returned updated.  Each coordinate is summed term by term
     in stem order, so every value is the one a sequential sparse sum gives.
-    The norm at a position is the largest absolute value live there.  A
-    value that lasts to the chunk's end enters through one running max from
-    its update; a value that a later update of its coordinate replaces,
-    carried in or made in the chunk, through _cover_max over the positions
-    it lives; and the carried-in values left alone as one floor.
+    The norm at a position is the largest absolute value live there: one
+    running max takes the values that last to the chunk's end, _cover_max
+    those a later update replaces, and one floor the carried-in rest.
     """
     length = coords.size
     order = np.argsort(coords, kind="stable")
@@ -352,7 +348,7 @@ def _norm_chunks(
     """The single partial-sum engine: the partial sums at positions
     after + 1..horizon, in consecutive pieces, ending early with the stem.
     A scalar piece holds signed sums, a sequence-space piece sup norms;
-    readers take np.abs of the pieces, which are theirs to change.
+    readers take np.abs of the pieces, which are theirs.
 
     A scalar chunk is `running + np.cumsum(terms)`, so the chunking is part
     of the arithmetic that norms_at and crossing_scan share.  A long chunk is
@@ -362,12 +358,11 @@ def _norm_chunks(
     the same bit for bit, the temporaries stay in cache, and a scan that
     stops inside a chunk has paid for no more than its blocks.  Short chunks
     of a run stem are packed into one block while (chunks x longest chunk)
-    stays within _BLOCK (see _packed_sums), with the same values: the chunk
-    starts are still sequential sums of the chunk totals.  That running sum
-    is the only state between chunks, and a run stem's chunks are cut along
-    its runs, so a scan may start at a run end `after` from the signed sum
-    there, `running`, with the same values bit for bit.  A sequence-space
-    pass carries a sparse sum (see _sup_chunk) and starts at position 1."""
+    stays within _BLOCK (see _packed_sums), with the same values: chunk
+    starts are sequential sums of chunk totals.  That running sum is the
+    only state between chunks, and chunks are cut along runs, so a scan may
+    start at a run end `after` from the signed sum there, `running`, bit for
+    bit.  A sequence-space pass (see _sup_chunk) starts at position 1."""
     keys, held = np.empty(0, dtype=np.int64), np.empty(0)
     packed: list[tuple[int, int, int]] = []
     width = 0
@@ -475,11 +470,8 @@ def crossing_scan(
             raise ValueError(f"a scan resumes only at a run end of a scalar stem, not {after}")
     found: list[int] = []
     values: list[float] = []
-    signed = 0.0
-    covered = after
+    signed, first = 0.0, after + 1
     for sums in _norm_chunks(series, indexer, end_pos, after, running):
-        first = covered + 1
-        covered += sums.size
         norms = np.abs(sums)
         at = max(start_pos - first, 0)
         while len(found) < len(thresholds):
@@ -499,6 +491,7 @@ def crossing_scan(
                 peak = high if peak is None else max(peak, high)
         if done:
             break
+        first += sums.size
     return Scan(found, 0.0 if peak is None else peak, values, signed)
 
 

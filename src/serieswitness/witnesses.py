@@ -352,7 +352,7 @@ def _escape(
     `resume`, an earlier such scan whose crossing ends a run of the base
     stem, starts the scan there (see crossing_scan).  A scan that comes up
     short raises ScanExhausted at scan_end with the largest norm from
-    position 1, the resumed scan's included."""
+    position 1, the peak it resumed from included."""
     candidate = base.concat_runs(stream.slice_runs(tail_start, scan_end))
     scan = crossing_scan(
         series, candidate, [float(level)], strict=strict, start_pos=start_pos, peak_from=1,
@@ -549,11 +549,9 @@ def subseries_to_rearrangement(
     initial segment.  The certificate records one crossing per stage and
     the bijection boundaries.
 
-    On a scalar series, stage j + 1 resumes its scan at stage j's crossing,
-    where its candidate's runs are cut, from the signed sum and peak there:
-    each position is read once, with the crossings and best norm of a scan
-    from position 1.  A sequence-space stage scans from position 1; it
-    exhausts within two terms.
+    On a scalar series stage j + 1 resumes its scan at stage j's crossing,
+    a run end of its candidate, so each position is read once, bit for bit.
+    A sequence-space stage, which exhausts within two terms, scans whole.
     """
     if depth < 0:
         raise PreconditionViolation("depth must be >= 0")
