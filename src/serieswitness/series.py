@@ -313,10 +313,13 @@ def _sup_chunk(
     untouched = np.ones(keys.size, dtype=bool)
     untouched[where[found]] = False
     np.maximum(norms, np.abs(held[untouched]).max(initial=0.0), out=norms)
+    kept = int(untouched.sum())
     keys = np.r_[keys[untouched], touched]
     held = np.r_[held[untouched], sums[np.r_[heads[1:], length] - 1]]
-    ordered = np.argsort(keys, kind="stable")
-    return norms, keys[ordered], held[ordered]
+    if kept and keys[kept - 1] > touched[0]:  # else both parts are in order
+        ordered = np.argsort(keys, kind="stable")
+        keys, held = keys[ordered], held[ordered]
+    return norms, keys, held
 
 
 def _packed_sums(

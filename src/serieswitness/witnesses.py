@@ -574,7 +574,6 @@ def subseries_to_rearrangement(
     values: list[float] = []
     boundaries: list[int] = []
     scan_end = min(len(stem), horizon)
-    scan = None
     for level in range(1, depth + 1):
         k_prev = len(q)
         tail_start = stem.first_position_above(k_prev)
@@ -592,7 +591,7 @@ def subseries_to_rearrangement(
             series, "rearrangement", q, stem, tail_start, scan_end, level,
             strict=False, start_pos=k_prev + 1,
             reason=f"stage {level} never crossed {level}",
-            resume=scan if series.is_scalar else None,
+            resume=scan if level > 1 and series.is_scalar else None,
         )
         positions += scan.positions
         values += scan.values
