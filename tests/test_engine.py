@@ -183,16 +183,17 @@ def test_sup_chunk_matches_a_dict_reference_on_synthetic_terms(seed):
 
 
 def test_a_sequence_space_pass_holds_a_few_chunk_arrays():
-    # decaying-signed-c0 puts -1/k and then +1/k on coordinate k: along the
-    # odd indices and then the even ones, the second run replaces every value
-    # of the first after it has lived for half the pass, so the interval max
-    # covers spans of 1 to 2^19 positions
+    # decaying-signed-c0 puts -1/k and then +1/k on coordinate k.  Along the
+    # odd indices and then the even ones, the pass streams _CHUNK positions
+    # as two chunks, one per run; the second replaces every value of the
+    # first, carried in, after a life of up to 2^19 positions, so the
+    # interval max covers spans of 1 to 2^19.  A table of every power-of-two
+    # span would add 19 arrays of the chunk's length, about 9.5 of these.
     half = series_module._CHUNK // 2
     stem = RearrStem(((1, 2, half), (2, 2, half)))
     series = catalog_series("decaying-signed-c0")
     scan, peak_bytes = traced_peak(lambda: crossing_scan(series, stem, [], peak_from=1))
     assert scan.peak == 1.0
-    # a table of every power-of-two span would hold 19 more of them
     assert peak_bytes < 16 * 8 * series_module._CHUNK
 
 
