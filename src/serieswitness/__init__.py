@@ -54,7 +54,6 @@ from .witnesses import (
     dense_open_witness_Am,
     dense_open_witness_Bm,
     dense_open_witness_Cm,
-    derive_depth_checkpoints,
     grow_unbounded_subseries,
     limsup_subseries,
     nowhere_dense_witness_rearr,

@@ -14,7 +14,6 @@ import json
 import math
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -362,8 +361,16 @@ def document_for_verdict(
 
 def dumps_document(doc: dict[str, Any]) -> str:
     """One line of compact JSON with sorted keys; without an indent the
-    standard library takes its C encoder."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    standard library takes its C encoder.  A document is a tree, never a
+    cycle, so the encoder skips its cycle check (one dict entry per
+    container, about a tenth of its time on a long checkpoint list)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+
+
+def payload_without_timing(doc: dict[str, Any]) -> str:
+    """The document without `timing`, as dumps_document spells it: the
+    canonical text that payload digests are taken of."""
+    return dumps_document({k: v for k, v in doc.items() if k != "timing"})
 
 
 _ROWS_MARK = "\x00checkpoints"  # holds the checkpoints' place in certificate_text
@@ -392,6 +399,10 @@ def _checkpoint_rows(cps: CheckpointColumns) -> str:
     )
 
 
+# how the json module spells the floats that JSON has no number for
+_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _spelled(column: np.ndarray) -> str | list[str]:
     """The texts of a float or str column, or its one text: each float bit
     pattern (0.0 and -0.0 differ) or str once, strs through a dict."""
@@ -401,104 +412,9 @@ def _spelled(column: np.ndarray) -> str | list[str]:
     else:
         bits, which = np.unique(column.view(np.int64), return_inverse=True)
         floats, keys = bits.view(np.float64), which.tolist()
-        spell = float.__repr__ if np.isfinite(floats).all() else _scalar_text
-        texts = dict(enumerate(map(spell, floats.tolist())))
+        texts = {i: _NOT_FINITE.get(text, text)
+                 for i, text in enumerate(map(float.__repr__, floats.tolist()))}
     return [*texts.values()][0] if len(texts) == 1 else list(map(texts.__getitem__, keys))
-
-
-def payload_without_timing(doc: dict[str, Any]) -> str:
-    """The document without `timing`, exactly as
-    `json.dumps(trimmed, sort_keys=True, indent=2) + "\\n"` spells it.  The
-    standard library encodes an indented document in pure Python, one value
-    at a time; this walk hands whole columns of values to C instead."""
-    trimmed = {k: v for k, v in doc.items() if k != "timing"}
-    return _indented(trimmed, 0) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# the indented encoding of payload_without_timing
-
-
-_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar_text(value: Any) -> str:
-    """The standard library's text for a value that is not a container."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NOT_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _column_texts(column: Sequence[Any]) -> list[str] | None:
-    """The texts of a column of values, or None if it holds a container.
-    A column of one type is mapped through that type's encoder in C."""
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return list(map(int.__repr__, column))
-    if kinds == {float} and math.isfinite(sum(column)):
-        return list(map(float.__repr__, column))
-    if kinds == {str}:
-        codes = {text: encode_basestring_ascii(text) for text in set(column)}
-        return list(map(codes.__getitem__, column))
-    if any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
-        return None
-    return list(map(_scalar_text, column))
-
-
-def _field_texts(column: Sequence[Any]) -> str | list[str] | None:
-    """The texts of a field down the rows, or its one text if they are all
-    one spelling.  Equal values of one type spell the same but float zeros."""
-    first, kind = column[0], type(column[0])
-    if kind in (str, int, float, bool) and (kind is not float or first != 0.0) \
-            and column.count(first) == len(column) and set(map(type, column)) == {kind}:
-        return _scalar_text(first)
-    texts = _column_texts(column)
-    return texts[0] if texts and texts.count(texts[0]) == len(texts) else texts
-
-
-def _rows_text(rows: Sequence[Any], level: int) -> str | None:
-    """The items of a list at nesting `level`, joined as the list joins
-    them, if they are all dicts with the same str keys or all lists of one
-    length, and no field is a container (None otherwise).  Each field is
-    encoded a column at a time, and the columns are interleaved with the
-    fixed text between them in one join."""
-    kinds = set(map(type, rows))
-    first = rows[0]
-    if not (kinds == {dict} or kinds <= {list, tuple}) or not first \
-            or set(map(len, rows)) != {len(first)}:
-        return None
-    if kinds == {dict} and set(map(type, first)) == {str}:
-        keys = sorted(first)
-        try:
-            columns = [_field_texts(list(map(itemgetter(k), rows))) for k in keys]
-        except KeyError:  # another row has other keys
-            return None
-        labels = [encode_basestring_ascii(k) + ": " for k in keys]
-        opening, closing = "{", "}"
-    elif kinds <= {list, tuple}:
-        columns = [_field_texts(column) for column in zip(*rows)]
-        labels = [""] * len(first)
-        opening, closing = "[", "]"
-    else:  # dicts with a key that is not a str
-        return None
-    if None in columns:
-        return None
-    inner = "\n" + "  " * (level + 1)
-    between = ",\n" + "  " * level
-    heads = [opening + inner + labels[0]] + ["," + inner + label for label in labels[1:]]
-    parts = [*chain.from_iterable(zip(heads, columns)), between[1:] + closing]
-    return _interleave(parts, between, len(rows))
 
 
 def _interleave(parts: Sequence[str | list[str]], separator: str, count: int) -> str:
@@ -517,38 +433,6 @@ def _interleave(parts: Sequence[str | list[str]], separator: str, count: int) ->
     # a list ends the zip after `count` rows, even when every part is fixed
     rows.append([separator] * count)
     return "".join(chain.from_iterable(zip(*rows)))[: -len(separator)]
-
-
-def _indented(value: Any, level: int) -> str:
-    """The standard library's indent=2, sort_keys=True text of a value whose
-    own line is indented by `level` steps."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = _column_texts(value)
-        if texts is None:
-            body = _rows_text(value, level + 1)
-            if body is not None:
-                return "[" + inner + body + "\n" + "  " * level + "]"
-            texts = [_indented(item, level + 1) for item in value]
-        opening, closing = "[", "]"
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str is spelled as its value, then quoted
-        texts = [
-            encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key))
-            + ": " + _indented(item, level + 1)
-            for key, item in sorted(value.items())
-        ]
-        opening, closing = "{", "}"
-    else:
-        return _scalar_text(value)
-    return opening + inner + ("," + inner).join(texts) + "\n" + "  " * level + closing
-
 
 
 def write_document(doc: dict[str, Any], path: str) -> None:

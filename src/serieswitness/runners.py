@@ -147,8 +147,7 @@ def _grow(series, config, horizon):
 
 
 def _rearrangement(series, config, horizon):
-    stream = provision_candidate_stream(series, horizon)
-    return rearrangement_pipeline(series, config["depth"], horizon, stream=stream)
+    return rearrangement_pipeline(series, config["depth"], horizon)
 
 
 def _limsup(series, config, horizon):

@@ -71,10 +71,6 @@ class FiniteSupportVector:
         items = tuple(sorted((int(i), float(c)) for i, c in data.items() if c != 0.0))
         return cls(items)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 

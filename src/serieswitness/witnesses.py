@@ -41,7 +41,6 @@ __all__ = [
     "default_scan_horizon",
     "uniform_bound_bruteforce",
     "grow_unbounded_subseries",
-    "derive_depth_checkpoints",
     "subseries_to_rearrangement",
     "nowhere_dense_witness_subseq",
     "nowhere_dense_witness_rearr",
@@ -91,11 +90,12 @@ class PreconditionViolation(ValueError):
 
 
 class InconsistentGrowthWitness(ValueError):
-    """Supplied growth checkpoints do not recompute from the stem."""
+    """Supplied checkpoints (p_prime_checkpoints) do not recompute from the
+    stem."""
 
 
 class PatternTooLarge(ValueError):
-    """Exhaustive pattern sweep refused; word length exceeds the bound."""
+    """Pattern oracle refused; word length exceeds the bound."""
 
 
 def relation_holds(value, bound, relation):
@@ -320,21 +320,20 @@ def _validate_prior_checkpoints(
     series: SeriesOracle,
     stem: IndexerStem,
     checkpoints: Sequence[tuple[int, float]],
-    what: str,
 ) -> None:
     if not checkpoints:
         return
     positions = [int(p) for p, _ in checkpoints]
     if any(p < 1 or p > len(stem) for p in positions):
         raise InconsistentGrowthWitness(
-            f"{what}: checkpoint position outside the stem"
+            "unboundedness witness: checkpoint position outside the stem"
         )
     values = norms_at(series, stem, positions)
     for (position, bound), value in zip(checkpoints, values):
         if value < bound - DELTA:
             raise InconsistentGrowthWitness(
-                f"{what}: norm at position {position} recomputes to {value!r}, "
-                f"below the certified bound {bound!r}"
+                f"unboundedness witness: norm at position {position} recomputes "
+                f"to {value!r}, below the certified bound {bound!r}"
             )
 
 
@@ -365,7 +364,7 @@ def _escape(
 
 
 # ---------------------------------------------------------------------------
-# brute-force pattern oracle
+# pattern oracle
 
 
 def uniform_bound_bruteforce(
@@ -373,12 +372,14 @@ def uniform_bound_bruteforce(
 ) -> float:
     """Max of || sum t(i) x_i || over every word t in alphabet^n.
 
-    The alphabet is {0,1} (selections) or {-1,0,1} (sign patterns); n is
-    capped at 14 to keep the sweep exact and finite.  The norm is a sup
-    over coordinates, and a coordinate of the sum depends only on the
-    letters of the terms that touch it, so the sup over words is the
-    largest, over coordinates, of the sup over the words of that
-    coordinate's terms alone.
+    The alphabet is {0,1} (selections) or {-1,0,1} (sign patterns).  The
+    norm is a sup over coordinates, and a coordinate of the sum depends
+    only on the letters of the terms that touch it, so the max over words
+    is the largest, over coordinates, of that coordinate's own max: over
+    {0,1} the word takes every term of one sign, over {-1,0,1} it flips
+    every term to one sign.  This form has no limit on n; n stays capped at
+    14 only because the benchmark's pattern jobs, and its count of vectors
+    built through series.term, still measure the oracle as a sweep.
     """
     alpha = tuple(sorted(set(int(a) for a in alphabet)))
     if alpha not in ((0, 1), (-1, 0, 1)):
@@ -387,27 +388,17 @@ def uniform_bound_bruteforce(
         raise ValueError("word length must be >= 1")
     if n > _MAX_PATTERN_WIDTH:
         raise PatternTooLarge(
-            f"word length {n} exceeds the enumeration bound {_MAX_PATTERN_WIDTH}"
+            f"word length {n} exceeds the pattern bound {_MAX_PATTERN_WIDTH}"
         )
     columns: dict[int, list[float]] = {}
     for i in range(1, n + 1):
         for index, coeff in series.term(i).entries:
             columns.setdefault(index, []).append(coeff)
-    base = len(alpha)
     best = 0.0
-    chunk = 1 << 16
     for coeffs in columns.values():
-        column = np.array(coeffs, dtype=np.float64)[:, None]
-        k = column.shape[0]
-        total = base**k
-        powers = base ** np.arange(k, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            ids = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
-            digits = (ids[:, None] // powers[None, :]) % base
-            weights = digits.astype(np.float64)
-            if alpha[0] == -1:
-                weights -= 1.0
-            best = max(best, float(np.abs(weights @ column).max()))
+        pos = math.fsum(c for c in coeffs if c > 0)
+        neg = -math.fsum(c for c in coeffs if c < 0)
+        best = max(best, pos + neg if alpha[0] == -1 else max(pos, neg))
     return best
 
 
@@ -512,42 +503,23 @@ def grow_unbounded_subseries(
 # rearrangement construction
 
 
-def derive_depth_checkpoints(
-    series: SeriesOracle,
-    stem: SubseqStem,
-    depth: int,
-    scan_horizon: int | None = None,
-) -> tuple[tuple[int, float], ...]:
-    """First positions where the stem's partial-sum norms reach 1..depth,
-    found in one scan; each level's search starts after the last one's."""
-    horizon = _horizon(series, scan_horizon)
-    limit = min(len(stem), horizon)
-    levels = [float(level) for level in range(1, depth + 1)]
-    positions = crossing_scan(series, stem, levels, end_pos=limit).positions
-    if len(positions) < depth:
-        raise ScanExhausted(
-            "depth-checkpoints",
-            f"stem never reaches partial-sum norm {len(positions) + 1}",
-            limit,
-        )
-    return tuple(zip(positions, levels))
-
-
 def subseries_to_rearrangement(
     series: SeriesOracle,
     stem: SubseqStem,
-    checkpoints: Sequence[tuple[int, float]],
     depth: int,
     scan_horizon: int | None = None,
 ) -> WitnessCertificate:
-    """Turn a certified unbounded subseries into a rearrangement whose
-    partial sums pass 1, 2, ..., depth.
+    """Turn an unbounded subseries into a rearrangement whose partial sums
+    pass 1, 2, ..., depth.
 
-    Stage j appends a block of the input stem (starting past everything
-    already placed) until the running sum of the current permutation
-    prefix crosses j, then closes the prefix into a bijection of an
-    initial segment.  The certificate records one crossing per stage and
-    the bijection boundaries.
+    One scan first finds where the stem's own partial-sum norms reach
+    1..depth, each level's search starting after the last one's; a stem
+    that falls short within the horizon raises ScanExhausted
+    ("depth-checkpoints").  Stage j then appends a block of the input stem
+    (starting past everything already placed) until the running sum of the
+    current permutation prefix crosses j, and closes the prefix into a
+    bijection of an initial segment.  The certificate records one crossing
+    per stage and the bijection boundaries.
 
     On a scalar series stage j + 1 resumes its scan at stage j's crossing,
     a run end of its candidate, so each position is read once, bit for bit.
@@ -564,16 +536,19 @@ def subseries_to_rearrangement(
             checkpoints=(),
             details=(("depth", 0),),
         )
-    _validate_prior_checkpoints(series, stem, checkpoints, "growth witness")
-    if not checkpoints or max(level for _, level in checkpoints) < depth:
-        raise InconsistentGrowthWitness(
-            f"growth witness certifies less than depth {depth}"
+    scan_end = min(len(stem), horizon)
+    levels = [float(level) for level in range(1, depth + 1)]
+    reached = crossing_scan(series, stem, levels, end_pos=scan_end).positions
+    if len(reached) < depth:
+        raise ScanExhausted(
+            "depth-checkpoints",
+            f"stem never reaches partial-sum norm {len(reached) + 1}",
+            scan_end,
         )
     q = RearrStem(())
     positions: list[int] = []
     values: list[float] = []
     boundaries: list[int] = []
-    scan_end = min(len(stem), horizon)
     for level in range(1, depth + 1):
         k_prev = len(q)
         tail_start = stem.first_position_above(k_prev)
@@ -666,9 +641,7 @@ def nowhere_dense_witness_rearr(
     if m < 0:
         raise PreconditionViolation("m must be >= 0")
     horizon = _horizon(series, scan_horizon)
-    _validate_prior_checkpoints(
-        series, p_prime, p_prime_checkpoints, "unboundedness witness"
-    )
+    _validate_prior_checkpoints(series, p_prime, p_prime_checkpoints)
     cover = p_prime.cover_position(base.to_numpy())
     if cover is None:
         raise ScanExhausted(
@@ -866,7 +839,6 @@ def dense_open_witness_Cm(
     m: int,
     base: RearrStem,
     scan_horizon: int | None = None,
-    t_checkpoints: Sequence[tuple[int, float]] = (),
 ) -> WitnessCertificate:
     """Dense-open containment witness for rearrangements.
 
@@ -878,7 +850,6 @@ def dense_open_witness_Cm(
     if r <= m:
         raise PreconditionViolation(f"base stem length {r} must exceed m = {m}")
     horizon = _horizon(series, scan_horizon)
-    _validate_prior_checkpoints(series, t, t_checkpoints, "unboundedness witness")
     z = max(r, base.max_value)
     cover = t.cover_position(base.to_numpy())
     if cover is None:
@@ -1061,15 +1032,11 @@ def rearrangement_pipeline(
     stream: SubseqStem | None = None,
 ) -> WitnessCertificate:
     """Provision an unbounded-subseries stream (unless the caller already
-    holds it), certify its growth levels, and run the rearrangement
-    construction on it."""
+    holds it) and run the rearrangement construction on it."""
     horizon = _horizon(series, scan_horizon)
     if stream is None:
         stream = provision_candidate_stream(series, horizon)
-    if depth == 0:
-        return subseries_to_rearrangement(series, stream, (), 0, horizon)
-    checkpoints = derive_depth_checkpoints(series, stream, depth, horizon)
-    return subseries_to_rearrangement(series, stream, checkpoints, depth, horizon)
+    return subseries_to_rearrangement(series, stream, depth, horizon)
 
 
 # ---------------------------------------------------------------------------

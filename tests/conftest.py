@@ -3,10 +3,13 @@
 These reimplement the catalog term rules and norm arithmetic directly,
 without touching the package's evaluation engines, so that certificate
 values are checked through a second route.  `traced_peak` measures what
-a call allocates.
+a call allocates; `perfbench_module` loads a module of the benchmark,
+such as its independent checker.
 """
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,16 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path: perfbench/checks.py recomputes
+    every value of a document without importing serieswitness."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def alt_harmonic_term(n: int) -> float:

@@ -200,7 +200,6 @@ def test_criterion_5_dense_open_interval_certificates(alt, growing):
 
     started = time.perf_counter()
     pipeline = rearrangement_pipeline(alt, 2)
-    witness = [(cp.position, cp.bound) for cp in pipeline.checkpoints]
     cm = dense_open_witness_Cm(
         alt,
         GEO,
@@ -208,7 +207,6 @@ def test_criterion_5_dense_open_interval_certificates(alt, growing):
         1,
         RearrStem.from_values([2, 4, 6, 8]),
         horizon,
-        witness,
     )
     assert cm.detail("z") == 8
     assert cm.detail("m_r") is not None

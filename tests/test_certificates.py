@@ -15,6 +15,9 @@ from serieswitness import (
     RearrStem,
     SelectionStem,
     SubseqStem,
+    nowhere_dense_witness_rearr,
+    nowhere_dense_witness_subseq,
+    provision_candidate_stream,
     rearrangement_pipeline,
 )
 from serieswitness import certificates, cli
@@ -44,6 +47,8 @@ from serieswitness.witnesses import (
     WitnessCertificate,
     verify_certificate,
 )
+
+from conftest import perfbench_module
 
 
 def _witness_doc(tmp_path, config):
@@ -472,7 +477,7 @@ def test_a_huge_stage_boundary_is_checked_without_a_mask():
 
 
 # ---------------------------------------------------------------------------
-# the payload digest's text
+# the witness text that `run` writes
 
 
 def test_run_and_verify_build_no_checkpoint_rows(tmp_path, monkeypatch):
@@ -486,11 +491,6 @@ def test_run_and_verify_build_no_checkpoint_rows(tmp_path, monkeypatch):
                  "--m", "3", "--horizon", "20000", "--out", str(path)]) == 0
     assert len(load_document(str(path))["result"]["checkpoints"]) == 512
     assert main(["verify", str(path)]) == 0
-
-
-def _stdlib_payload(doc):
-    trimmed = {k: v for k, v in doc.items() if k != "timing"}
-    return json.dumps(trimmed, sort_keys=True, indent=2) + "\n"
 
 
 def _outcome(encode, doc):
@@ -507,63 +507,6 @@ _ints = st.integers() | st.integers(-(2**80), 2**80) | st.booleans()
 _floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-7, 1e308])
 _scalars = st.none() | _ints | _floats | _texts
 _keys = _texts | st.sampled_from(["position", "value", "bound", "kind"])
-
-
-@st.composite
-def _rows(draw, values):
-    """Lists of dicts with the same keys or of lists of one length, with
-    columns of one type or of mixed values; sometimes one row is ragged or
-    has a key of its own."""
-    width = draw(st.integers(0, 4))
-    columns = [draw(st.sampled_from([_ints, _floats, _texts, _scalars, values]))
-               for _ in range(width)]
-    table = [[draw(column) for column in columns] for _ in range(draw(st.integers(1, 5)))]
-    odd = draw(st.integers(0, len(table) - 1))
-    if draw(st.booleans()):
-        keys = draw(st.lists(_keys, min_size=width, max_size=width, unique=True))
-        rows = [dict(zip(keys, row)) for row in table]
-        if width and draw(st.booleans()):
-            rows[odd][keys[0] + "x"] = rows[odd].pop(keys[0])
-        return rows
-    if width and draw(st.booleans()):
-        table[odd].pop()
-    return table
-
-
-_trees = st.recursive(
-    _scalars,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(_keys, children, max_size=4)
-                      | st.dictionaries(_floats | _ints | st.none(), children, max_size=3)
-                      | _rows(children)),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_trees)
-@example({"floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 0.1],
-          "ints": [2**70, -(2**64), 0, True, False, 7]})
-@example({"100% é": "ü%s", "rows": [{"%": 1.5, "é": "x"}, {"%": math.nan, "é": "%s"}]})
-@example({"empty": [[], {}, [[]], [{}]], "ragged": [[1, 2], [3]],
-          "other keys": [{"a": 1}, {"b": 1}], "pairs": [[0, 5], [1, 3]]})
-@example({1: "x", 2.5: [True, None], None: {}})
-@example({"mixed keys": {1: 0, "1": 0}})
-# columns equal under == but not in spelling, a lone varying column, rows
-# that are all fixed text
-@example({"zeros": [{"a": 0.0, "b": 1, "c": 7}, {"a": -0.0, "b": 1.0, "c": 8},
-                    {"a": 0.0, "b": True, "c": 9}],
-          "lone": [{"k": "x", "p": 1, "v": 2.5}, {"k": "x", "p": 2, "v": 2.5}],
-          "pairs": [[1, 0.0], [1, -0.0]], "fixed": [[3, "s"], [3, "s"]]})
-def test_payload_text_is_the_standard_librarys(tree):
-    doc = {"schema_version": "1", "result": tree, "timing": {"seconds": 0.25}}
-    assert _outcome(payload_without_timing, doc) == _outcome(_stdlib_payload, doc)
-
-
-# ---------------------------------------------------------------------------
-# the witness text that `run` writes
-
-
 _cell_floats = _floats | st.sampled_from([0.0, -0.0, 1.0])
 _cell_texts = st.sampled_from([">", ">=", "partial-sum", "term-norm"]) | _texts
 _positions = st.integers(1, 50) | st.integers(-(2**70), 2**70)
@@ -635,3 +578,37 @@ def test_run_spells_and_checks_a_witness_without_rows_or_decoding(tmp_path, monk
                              "m": 3, "horizon": 20000})
     golden = document_for_certificate(execute_config(config)[1], config)
     assert payload_without_timing(load_document(str(path))) == payload_without_timing(golden)
+
+
+# ---------------------------------------------------------------------------
+# escape witnesses for random basic open sets, as the benchmark draws them
+
+
+# (stem kind, r, value_max, seed): r distinct values <= value_max, on the
+# depth-3 p' for rearrangements and on the candidate stream s' for subseries
+_OPEN_SETS = (("rearr", 250, 500, 1), ("rearr", 200, 1800, 2),
+              ("subseq", 900, 2700, 3), ("subseq", 1500, 4500, 4))
+
+
+def test_random_open_set_witnesses_pass_both_checkers(tmp_path):
+    checks = perfbench_module("checks")
+    series, horizon = catalog_series("alt-harmonic"), 3_000_000
+    stream = provision_candidate_stream(series, horizon)
+    p_prime = rearrangement_pipeline(series, 3, horizon, stream=stream).stem
+    for kind, r, value_max, seed in _OPEN_SETS:
+        values = np.random.default_rng(seed).choice(
+            np.arange(1, value_max + 1), size=r, replace=False)
+        if kind == "rearr":
+            cert = nowhere_dense_witness_rearr(
+                series, p_prime, 1, RearrStem.from_values(values), horizon)
+        else:
+            cert = nowhere_dense_witness_subseq(
+                series, stream, 1, SubseqStem.from_values(np.sort(values)), horizon)
+        config = {"series": "alt-harmonic", "construction": cert.construction, "m": 1,
+                  "r": r, "value_max": value_max, "base_seed": seed, "horizon": horizon}
+        path = tmp_path / f"{kind}-{r}.json"
+        write_document(document_for_certificate(cert, config), str(path))
+        doc = load_document(str(path))
+        assert verify_document(doc) == [] and checks.check_document(doc) == []
+        doc["result"]["checkpoints"][-1]["value"] += 1e-7
+        assert verify_document(doc) and checks.check_document(doc)

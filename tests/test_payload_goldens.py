@@ -17,7 +17,6 @@ To re-pin after an intended payload change (which also bumps
 """
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,8 @@ from serieswitness.certificates import load_document, payload_without_timing, wr
 from serieswitness.cli import main
 from serieswitness.runners import CONSTRUCTIONS
 from serieswitness.series import catalog_names
+
+from conftest import perfbench_module
 
 SCALAR_HORIZON = "20000"
 SEQUENCE_HORIZON = "2000"
@@ -44,42 +45,42 @@ FLAGS = {
 
 # (series, construction) -> (exit code, sha256 of the payload without timing)
 GOLDENS = {
-    ('alt-harmonic', 'grow-subseries'): (0, 'a5a31b1c73845ec04df18722bf3fb9e8a38adc7d07d7a04ea57c798c7ca9ab3b'),
-    ('alt-harmonic', 'rearrangement'): (0, '0b7867fab66dc4fbe45716ac36ce1b452c78978a591f78ed6f750428f84bad30'),
-    ('alt-harmonic', 'nowhere-dense-subseq'): (0, 'c58dd93d11e6d6a5c3fb9dd16960490f9bc6b025b0ccdaa24425390e99bc525f'),
-    ('alt-harmonic', 'nowhere-dense-rearr'): (0, 'a068d52f6399033cafdd386af1490e79a75bcad1c5c6fbc2d93f0a341fd02116'),
-    ('alt-harmonic', 'dense-open-bm'): (0, '5fb29c2c74d9ec261d847c515fdf4ff6016ed01ce6a8a2e641e695c7a59b5e2e'),
-    ('alt-harmonic', 'dense-open-cm'): (0, 'ea9b8009898b46fb0b43d2c60e195ed24ab4dc62c92d7748c775a7651cc576f3'),
-    ('alt-harmonic', 'dense-open-am'): (0, '77853b599257fafc09bbec34c1a516f4405114d5796819472731a304c58e4213'),
-    ('alt-harmonic', 'limsup-subseries'): (2, '7b8b234f092d9467c3550e7a6ef47fd472060037f01192fec64c76e1591cba80'),
-    ('alt-harmonic', 'i-bounded'): (0, '6824f16c0eeff84ade441eb473c7eb69616c45d7712cef2699379016984bdf35'),
-    ('unit-basis-c0', 'grow-subseries'): (2, '4225b434fb5150f35f2a07e706dbe4246e41fe507554acd083e8aedeb654ba3f'),
-    ('unit-basis-c0', 'rearrangement'): (2, '913b97aa639b994679652476a8925da671087c15349744f117e6f7eb7cf6b89f'),
-    ('unit-basis-c0', 'nowhere-dense-subseq'): (2, '95019c17f70fffd61cd3f80a84a95a905b9775a86a9f11914f6abfa68bf27e4e'),
-    ('unit-basis-c0', 'nowhere-dense-rearr'): (2, '0f5fbfeb121b2e9ee26d2227f73bf24d90a9fd02d7f12bd2bf742b3dc2e42d7a'),
-    ('unit-basis-c0', 'dense-open-bm'): (2, '995965ecdd2fd9f24cf161a3a4253c8c3b53dc8842fdd4453a11665dc306855e'),
-    ('unit-basis-c0', 'dense-open-cm'): (2, '4fab5ab7f1f35b673fd529817a011b218fc7377a94dc467897f859a8d53c62ad'),
-    ('unit-basis-c0', 'dense-open-am'): (2, 'ff333468e8eeb6df96b510e1f60d208008bf9a328f073e520ab87cbd3d4b1ffe'),
-    ('unit-basis-c0', 'limsup-subseries'): (2, '87428fb70dde834b2a95c4d10a4e7f5ba8873aae98690c79dcaa6088dde9d9f4'),
-    ('unit-basis-c0', 'i-bounded'): (0, '418ae84f5f88c0db011e257fd54b385453520884f8c8f87479b9afc54b71d1ee'),
-    ('decaying-signed-c0', 'grow-subseries'): (2, 'c4f027759ff8b24859d0215fea74fb9ad973ba2e92b4d55fb2c3846b908b696e'),
-    ('decaying-signed-c0', 'rearrangement'): (2, '2f136806923c8c90186249c893fd21149481fa20991c979937ff28502ffa0d41'),
-    ('decaying-signed-c0', 'nowhere-dense-subseq'): (2, '852030f1227bd8d4ce9872c7aeed337ead8926b3835d0ee0d98511e382c23983'),
-    ('decaying-signed-c0', 'nowhere-dense-rearr'): (2, '78762fab21f49d8fef9afd821455f47c2d4b5bd6d9d5bdc18bc555cb30a8d168'),
-    ('decaying-signed-c0', 'dense-open-bm'): (2, '728f89e9793ca64f99a184dbbf5b32ba3646662c6e7e1b2fa9171953be42b383'),
-    ('decaying-signed-c0', 'dense-open-cm'): (2, 'ef0d323743adafa0f69c8c384a6478796aa99f330c7f87f848bef05ff84acf47'),
-    ('decaying-signed-c0', 'dense-open-am'): (2, 'cfbc41bfc2d076bb60e99107f5a47c460e36fc680c70ed8f5aa45dd3d9ab7a8f'),
-    ('decaying-signed-c0', 'limsup-subseries'): (2, '8e55c69d111cd846f3b916c0912e7abd076597ec698f6f8c8a321f7a49235a59'),
-    ('decaying-signed-c0', 'i-bounded'): (2, '0da71fe85bae5905529f2b4bba2222c65cb10fe1c6e6f6a132307425e8916232'),
-    ('growing-real', 'grow-subseries'): (0, '94aa329e464dcee72c39ce87d9799836e17c58ae1f419f070a7cf8aac79382ba'),
-    ('growing-real', 'rearrangement'): (0, 'd6575a5b227ff899b1c5fd816ac5ec279a4ed44bed8c2fd686da557f85054256'),
-    ('growing-real', 'nowhere-dense-subseq'): (0, 'c44afc0f5c9866c2a5cb3f2491d68902d6a230ee82eb4cb25b47a5a947249874'),
-    ('growing-real', 'nowhere-dense-rearr'): (0, 'e5da7062873c34b798c2861d38b951d25a989b9d8559c7a5543259678160752d'),
-    ('growing-real', 'dense-open-bm'): (2, '000f7c279ee672eda8622804040b338687c19970ce9e9a46f8010fb15d525164'),
-    ('growing-real', 'dense-open-cm'): (2, 'bf6a06b2b20297a4e73f315d46e3bdd4dbb3226dded23a4e59e9c03c97670fe7'),
-    ('growing-real', 'dense-open-am'): (0, 'de80dbefcfb38f0ca3cb91f6eddc68b058f6401836eaf93ea640832111512460'),
-    ('growing-real', 'limsup-subseries'): (0, '007f1f9bbd334590845b0c7f3a745b2a58340f2bd649b51135aac40056d50afb'),
-    ('growing-real', 'i-bounded'): (0, 'ea9342203fe98972b27a487d1f0d728a75f39063ca09c51b5fd8b0b5581b219b'),
+    ('alt-harmonic', 'grow-subseries'): (0, 'eaac3f0269ac80731b56c3590579a4b240cfa13631984186668af32ee3706c23'),
+    ('alt-harmonic', 'rearrangement'): (0, '2156d248c403a52bd31dab16ca738c4f66fa71b2961cdd28e0de10b2494b5309'),
+    ('alt-harmonic', 'nowhere-dense-subseq'): (0, '51aaa94f921b2724d7f04e78aa092726961549c4cef35ebf01e6d4e46be489c1'),
+    ('alt-harmonic', 'nowhere-dense-rearr'): (0, '348610b9ab1f7daa40b9652a492228348fe33a074bfaca35a36ba155eb8e9806'),
+    ('alt-harmonic', 'dense-open-bm'): (0, 'a0bad6fd034ebd798245146fd36320f84368eacff3db0573c174f9da928817a1'),
+    ('alt-harmonic', 'dense-open-cm'): (0, '34aa395f708ee3e923da9e060e4d5e49454a4bae41cf06f69ce66bad9f432ecd'),
+    ('alt-harmonic', 'dense-open-am'): (0, 'b50b24b58835d8e7858b01a4a6498f9b17d6bed07b39f751c06d47d4831019d2'),
+    ('alt-harmonic', 'limsup-subseries'): (2, '46a78d1d77aa3d04e788076b9fd5ac05908444f6f6a644f7bf014d8664662b2f'),
+    ('alt-harmonic', 'i-bounded'): (0, 'afe701ea172ca05b36688e9423b24fe383b74fd3fbace611cf59bba9770c2f01'),
+    ('unit-basis-c0', 'grow-subseries'): (2, 'b819b9133982cfc5778b8c896f27e91751d696447d5bae162cccbcdd7f6c74ed'),
+    ('unit-basis-c0', 'rearrangement'): (2, '1a3369991368d5bff416a94d78551d38ec37c7ec789debc983d790d49604376a'),
+    ('unit-basis-c0', 'nowhere-dense-subseq'): (2, '809917f20de4f7ed9c72ef1b1fe96c90554500d70a78c35907af9074f9d348e0'),
+    ('unit-basis-c0', 'nowhere-dense-rearr'): (2, 'f5be5eac6b5082e59b46d048c9506700b37a641818ba016ae656b6c8f3df6fad'),
+    ('unit-basis-c0', 'dense-open-bm'): (2, '7269e92b8f4b47763f94ccfb5eaa2792529e0a4363212f93b35ef01774aa23ec'),
+    ('unit-basis-c0', 'dense-open-cm'): (2, 'fd142776feaa148535a16a3737093940504fddc9ed41237249973172d4d5180a'),
+    ('unit-basis-c0', 'dense-open-am'): (2, 'e6a71a259918f36b0f917a52eddd2652d268681820b3870d05e04534266a40da'),
+    ('unit-basis-c0', 'limsup-subseries'): (2, '6d2ad2e3f3c0bf566d8ed58054deec9c48aeeb306ac34d3017494eb21026d2be'),
+    ('unit-basis-c0', 'i-bounded'): (0, 'b1fde3a9503dd1464875de3017a8b9327a1570da902f8129021a9aa72f94403a'),
+    ('decaying-signed-c0', 'grow-subseries'): (2, '154f09209511d4480627ff7b15579fc8ee981ba3166efba8fd68f0422c560e94'),
+    ('decaying-signed-c0', 'rearrangement'): (2, '50e79508b4bec930e57109c1bac251e75dc8053aba0a84e1928d6ad5bfed762a'),
+    ('decaying-signed-c0', 'nowhere-dense-subseq'): (2, 'a9d5d217c35fab7604b2b550c00c0a0af32c1167000b61dd4eec95cc0fea812f'),
+    ('decaying-signed-c0', 'nowhere-dense-rearr'): (2, 'c805047b3de31b92e5eb6c06574418dc57dcfe01ea880f10af8f1a7c0f550473'),
+    ('decaying-signed-c0', 'dense-open-bm'): (2, '5c64600021c2855c411d23248171a6786ce148bfcaa4a892d1f9fc888b6af3f8'),
+    ('decaying-signed-c0', 'dense-open-cm'): (2, '43911f1067f69dbd719c2dd2d562654ec8fbd33f02e0518e0e4f0787e1aa2c4e'),
+    ('decaying-signed-c0', 'dense-open-am'): (2, 'a8011377e27db99a1d17b96a60bf7ef4f368fde0735e0e0fba670bab0256031d'),
+    ('decaying-signed-c0', 'limsup-subseries'): (2, '6c3134edc6502861afae34c436897b5e09736ba2bf80b5346883fb675750e4df'),
+    ('decaying-signed-c0', 'i-bounded'): (2, '054ed6091ad39a4732457b246dc9ccf3d73a70f3cdccd7b401864ee26f51b888'),
+    ('growing-real', 'grow-subseries'): (0, 'b8e2d4248851e26d4e51fcb51f2acae123fb01d1fefe110e913b2f049c26e3ec'),
+    ('growing-real', 'rearrangement'): (0, '89663e0335398f6603975896ff6cb08c632fbd5b60d0932507d0e8b3da31a482'),
+    ('growing-real', 'nowhere-dense-subseq'): (0, 'e6c158f5d6ef535ebdff8970e05a9dc16d6b5c0c7f04cf29931f6b4fdab4fd60'),
+    ('growing-real', 'nowhere-dense-rearr'): (0, '6cb777bb37252765591e90f186c4a269ada75bfe2de5f19974a43857b2f190f9'),
+    ('growing-real', 'dense-open-bm'): (2, '747ada739deb63cd1e73add17b75e2bb5eeac000abf7631fe22cdb442b6071b3'),
+    ('growing-real', 'dense-open-cm'): (2, '673bffe489820c782a36ae06302619cbe3456b2fa4b8073675fa9ec69bd641a5'),
+    ('growing-real', 'dense-open-am'): (0, '0e41b06fcc06201028291f7838dc64babd7c3cdc304894bd1c9f84225bd94dd5'),
+    ('growing-real', 'limsup-subseries'): (0, '70ca3b9b1c3ff2320bd57c8f404048b68ead520c7908ad78e61333241b437a35'),
+    ('growing-real', 'i-bounded'): (0, 'c218a384fd7b177d7a0fba65e4204080b6d6ae703308d323fa24817971796d7e'),
 }
 
 
@@ -89,18 +90,19 @@ GOLDENS = {
 # matrix cell reaches.  (series, construction, flags, horizon) -> (exit
 # code, sha256, checkpoint positions, stage boundaries).
 DEEP_CELL = ("alt-harmonic", "rearrangement", ["--depth", "3"], "3000000")
-DEEP_GOLDEN = (0, '1ec1ead314e23113d14a00f5aa4b5f003a77b147c1b5ed9174d8d1842110a965',
+DEEP_GOLDEN = (0, '6cf83321d69af3d20d3e1e8ef2d4e2683a49ae66eb853ffed4d8b2fee6731049',
                [4, 880, 1_414_491], [8, 1752, 2_827_230])
 
 
 # Depth-4 pipelines of alt-harmonic at horizon 3e6: stage 4 never crosses 4,
 # so both are exhaustions whose stages 2 to 4 resume where the stage before
-# crossed.  (flags) -> (exit code, sha256); pinned before the stages resumed.
+# crossed.  (flags) -> (exit code, sha256); the payloads are the ones made
+# before the stages resumed.
 DEPTH_4_CELLS = {
     ("--construction", "rearrangement", "--depth", "4"):
-        (2, '725a7fca9112dc69d67c55205ead8eb69274504744fdcdebe6a30a619a5a62af'),
+        (2, 'b8d878892e15504dc1ffe11a9a14fc75370a66e5f9b11fa96fd7c01e1923bd67'),
     ("--construction", "dense-open-cm", "--m", "3"):
-        (2, '38872409b67768d5b4f9c1c44c52bc48a1bc6ab9e420a27d092211551b78e80f'),
+        (2, '92a8fc9a98572a6098f65f17475559751ab8d56b598497ed14d2988b63f7ead8'),
 }
 
 def digest_of(path):
@@ -131,7 +133,7 @@ def test_deep_cell_is_pinned_and_passes_the_independent_checker(tmp_path):
     result = doc["result"]
     assert (code, digest_of(out), [c["position"] for c in result["checkpoints"]],
             result["stage_boundaries"]) == DEEP_GOLDEN
-    assert _perfbench_module("checks").check_document(doc) == []
+    assert perfbench_module("checks").check_document(doc) == []
 
 
 @pytest.mark.parametrize("flags", sorted(DEPTH_4_CELLS), ids=" ".join)
@@ -142,24 +144,16 @@ def test_depth_4_pipelines_are_pinned(tmp_path, flags):
     assert (code, digest_of(out)) == DEPTH_4_CELLS[flags]
     assert main(["verify", str(out)]) == 0
 
-def _perfbench_module(name):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("cell", sorted(GOLDENS), ids="/".join)
 def test_golden_cells_pass_the_independent_checker(tmp_path, cell):
     # perfbench/checks.py recomputes every value without serieswitness
-    checks = _perfbench_module("checks")
+    checks = perfbench_module("checks")
     run_cell(*cell, tmp_path / "doc.json")
     assert checks.check_document(load_document(str(tmp_path / "doc.json"))) == []
 
 
 def test_the_independent_checker_refuses_a_nudged_value(tmp_path):
-    checks = _perfbench_module("checks")
+    checks = perfbench_module("checks")
     indented = Path(__file__).resolve().parent / "data" / "dense_open_am_indented.json"
     assert checks.check_document(load_document(str(indented))) == []
     run_cell("alt-harmonic", "rearrangement", tmp_path / "doc.json")
@@ -175,7 +169,7 @@ def test_the_independent_checker_refuses_a_nudged_value(tmp_path):
 def test_matrix_is_complete():
     assert set(GOLDENS) == {(s, c) for s in catalog_names() for c in CONSTRUCTIONS}
     assert set(FLAGS) == set(CONSTRUCTIONS)
-    jobs = _perfbench_module("jobs")
+    jobs = perfbench_module("jobs")
     assert tuple(jobs.SEQUENCE_CONSTRUCTIONS) == tuple(CONSTRUCTIONS)
 
 

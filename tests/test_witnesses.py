@@ -13,11 +13,11 @@ from serieswitness import (
     ScanExhausted,
     SelectionStem,
     SubseqStem,
+    catalog_names,
     catalog_series,
     dense_open_witness_Am,
     dense_open_witness_Bm,
     dense_open_witness_Cm,
-    derive_depth_checkpoints,
     geometric_talagrand,
     grow_unbounded_subseries,
     limsup_subseries,
@@ -40,13 +40,14 @@ from conftest import (
     decaying_coord,
     growing_real_term,
     kahan_abs_prefix,
+    perfbench_module,
 )
 
 GEO = geometric_talagrand()
 
 
 # ---------------------------------------------------------------------------
-# brute-force pattern oracle
+# pattern oracle
 
 
 def _bruteforce_scalar(term, n, alphabet):
@@ -85,6 +86,16 @@ def test_uniform_bound_cross_checked(alt, decaying, n, alphabet):
     assert got == pytest.approx(
         _bruteforce_sup(decaying_coord, n, alphabet), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("alphabet", [[0, 1], [-1, 0, 1]])
+@pytest.mark.parametrize("name", catalog_names())
+def test_uniform_bound_is_the_independent_pattern_max(name, alphabet):
+    checks = perfbench_module("checks")
+    series = catalog_series(name)
+    for n in range(1, 15):
+        exact, tolerance = checks.pattern_max(name, n, alphabet)
+        assert abs(uniform_bound_bruteforce(series, n, alphabet) - exact) <= tolerance
 
 
 def test_uniform_bound_guards(alt):
@@ -219,8 +230,7 @@ _P_PRIME = RearrStem.identity(10)
     "construct",
     [
         lambda alt, h: grow_unbounded_subseries(alt, 2.0, h),
-        lambda alt, h: derive_depth_checkpoints(alt, provision_candidate_stream(alt, 100), 1, h),
-        lambda alt, h: subseries_to_rearrangement(alt, SubseqStem.identity(10), [], 1, h),
+        lambda alt, h: subseries_to_rearrangement(alt, SubseqStem.identity(10), 1, h),
         lambda alt, h: nowhere_dense_witness_subseq(
             alt, SubseqStem.identity(10), 1, SubseqStem.from_values([1]), h
         ),
@@ -279,17 +289,6 @@ def test_decaying_dense_open_exhausts(decaying):
 # rearrangements
 
 
-def test_depth_checkpoints(alt):
-    stream = provision_candidate_stream(alt, 1000)
-    cps = derive_depth_checkpoints(alt, stream, 2)
-    assert [level for _, level in cps] == [1.0, 2.0]
-    positions = [p for p, _ in cps]
-    sums = kahan_abs_prefix(alt_harmonic_term, stream.to_numpy().tolist())
-    for position, level in cps:
-        assert sums[position - 1] >= level
-        assert all(s < level for s in sums[: position - 1])
-
-
 def test_rearrangement_growing_real(growing):
     cert = rearrangement_pipeline(growing, 2, 1000)
     assert list(cert.stem.values()) == [2, 1, 4, 3]
@@ -318,17 +317,9 @@ def test_rearrangement_alt_harmonic_depth2(alt):
 
 
 def test_rearrangement_depth0(alt):
-    cert = subseries_to_rearrangement(alt, SubseqStem(()), (), 0)
+    cert = subseries_to_rearrangement(alt, SubseqStem(()), 0)
     assert len(cert.stem) == 0
     assert len(cert.checkpoints) == 0
-
-
-def test_rearrangement_rejects_bad_witness(alt):
-    stem = SubseqStem.arithmetic(2, 2, 100)
-    with pytest.raises(InconsistentGrowthWitness):
-        subseries_to_rearrangement(alt, stem, [(3, 5.0)], 1)
-    with pytest.raises(InconsistentGrowthWitness):
-        subseries_to_rearrangement(alt, stem, [(4, 1.0)], 2)
 
 
 def test_rearrangement_unit_basis_exhausts(unit):
@@ -395,6 +386,15 @@ def test_nd_rearr_alt_harmonic(alt):
     assert cert.checkpoints[0].value > 1.0
     assert cert.stem.is_prefix_bijection(cert.stage_boundaries[0])
     assert verify_certificate(cert) == []
+
+
+def test_nd_rearr_rejects_bad_p_prime_checkpoints(alt):
+    p_prime = RearrStem.identity(100)
+    base = RearrStem.from_values([1])
+    with pytest.raises(InconsistentGrowthWitness):
+        nowhere_dense_witness_rearr(alt, p_prime, 1, base, None, [(3, 5.0)])
+    with pytest.raises(InconsistentGrowthWitness):
+        nowhere_dense_witness_rearr(alt, p_prime, 1, base, None, [(101, 1.0)])
 
 
 def test_nd_rearr_exhausts_on_unit_basis(unit):
@@ -500,11 +500,8 @@ def test_bm_exhausts_on_unit_basis(unit):
 
 def test_cm_alt_harmonic(alt):
     pipeline = rearrangement_pipeline(alt, 2)
-    witness = [(cp.position, cp.bound) for cp in pipeline.checkpoints]
     base = RearrStem.from_values([2, 4, 6, 8])
-    cert = dense_open_witness_Cm(
-        alt, GEO, pipeline.stem, 1, base, 10**5, witness
-    )
+    cert = dense_open_witness_Cm(alt, GEO, pipeline.stem, 1, base, 10**5)
     assert cert.stem.extends(base)
     assert cert.detail("z") == 8
     lo, hi = cert.interval
@@ -719,6 +716,7 @@ def _stream(series, horizon):
 
 
 _S, _R = SubseqStem.from_values, RearrStem.from_values
+_EVENS = SubseqStem.arithmetic(2, 2, 1000)  # 2, 4, ..., 2000
 
 # name -> (call on (alt-harmonic, growing-real), (construction, reason,
 # horizon, best.hex() or None))
@@ -780,24 +778,22 @@ _EXHAUSTIONS = {
             alt, GEO, _stream(alt, 300), 5, SelectionStem([0, 1, 1, 0]), 300),
         ("dense-open-Am", "no selection partial sum above 5", 300, "0x1.1b2b3c70e5af1p+1"),
     ),
+    # the evens through 1,752 reach 3 on their own, and stage 2 crosses 2 at
+    # the last of them (stem position 876)
     "rearr-stem-exhausted": (
-        lambda alt, growing: subseries_to_rearrangement(
-            growing, _S([2, 4]), [(1, 1.0), (2, 3.0)], 3),
-        ("rearrangement", "input stem exhausted before stage 3", 2, None),
+        lambda alt, growing: subseries_to_rearrangement(alt, _EVENS.prefix(876), 3),
+        ("rearrangement", "input stem exhausted before stage 3", 876, None),
     ),
     "rearr-tail-past-horizon": (
-        lambda alt, growing: subseries_to_rearrangement(
-            growing, _S([2, 4, 6, 8]), [(1, 1.0), (2, 3.0)], 3, 2),
-        ("rearrangement", "stage 3 tail starts past the scan horizon", 2, None),
+        lambda alt, growing: subseries_to_rearrangement(alt, _EVENS, 3, 876),
+        ("rearrangement", "stage 3 tail starts past the scan horizon", 876, None),
     ),
     "rearr-never-crossed": (
-        lambda alt, growing: subseries_to_rearrangement(
-            alt, _stream(alt, 500), derive_depth_checkpoints(alt, _stream(alt, 500), 3, 500),
-            3, 500),
+        lambda alt, growing: subseries_to_rearrangement(alt, _stream(alt, 500), 3, 500),
         ("rearrangement", "stage 2 never crossed 2", 250, "0x1.5fc81b86cf5d8p+0"),
     ),
     "depth-never-reaches": (
-        lambda alt, growing: derive_depth_checkpoints(alt, _stream(alt, 500), 4, 500),
+        lambda alt, growing: subseries_to_rearrangement(alt, _stream(alt, 500), 4, 500),
         ("depth-checkpoints", "stem never reaches partial-sum norm 4", 250, None),
     ),
 }
