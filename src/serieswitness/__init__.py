@@ -7,15 +7,7 @@ witnesses for the category-style sets of bounded codings, and
 ideal-boundedness verdicts backed by interval counting.
 """
 
-from .spaces import (
-    DELTA,
-    FiniteSupportVector,
-    SpaceSpec,
-    basis,
-    fsv,
-    real_line,
-    sequence_space,
-)
+from .spaces import DELTA, FiniteSupportVector, basis, fsv
 from .stems import (
     RearrStem,
     SelectionStem,

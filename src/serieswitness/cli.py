@@ -146,13 +146,14 @@ def _catalog(args: argparse.Namespace) -> int:
     print(f"{'name':<20} {'space':<24} {'claims'}")
     for name in catalog_names():
         oracle = catalog_series(name)
+        space = "real line" if oracle.is_scalar else "sequence space (sup norm)"
         claims = []
         if oracle.liminf_norm_zero:
             claims.append("liminf ||x_n|| = 0")
         if oracle.limsup_norm_infinite:
             claims.append("limsup ||x_n|| = inf")
         print(
-            f"{name:<20} {oracle.space.describe():<24} "
+            f"{name:<20} {space:<24} "
             f"{', '.join(claims) if claims else '-'}"
         )
         print(f"{'':<20} {oracle.description}")

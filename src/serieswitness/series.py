@@ -13,14 +13,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spaces import (
-    DELTA,
-    FiniteSupportVector,
-    SpaceSpec,
-    basis,
-    real_line,
-    sequence_space,
-)
+from .spaces import DELTA, FiniteSupportVector, basis
 from .stems import IndexerStem, SelectionStem, SubseqStem
 
 __all__ = [
@@ -75,7 +68,7 @@ class SeriesOracle:
     """
 
     name: str
-    space: SpaceSpec
+    is_scalar: bool  # the real line; else the sup-norm sequence space
     description: str
     liminf_norm_zero: bool
     limsup_norm_infinite: bool
@@ -83,10 +76,6 @@ class SeriesOracle:
     magnitude: Callable[[np.ndarray], object] = field(repr=False)
     alternating: bool
     candidates: Callable[[int], SubseqStem] = field(repr=False)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.space.is_scalar
 
     def term(self, n: int) -> FiniteSupportVector:
         if n < 1:
@@ -153,7 +142,7 @@ def _reciprocal_half_up(x: np.ndarray) -> None:
 _CATALOG: dict[str, SeriesOracle] = {
     "alt-harmonic": SeriesOracle(
         name="alt-harmonic",
-        space=real_line(),
+        is_scalar=True,
         description="x_n = (-1)^n / n, the canonical conditionally convergent real series",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
@@ -164,7 +153,7 @@ _CATALOG: dict[str, SeriesOracle] = {
     ),
     "unit-basis-c0": SeriesOracle(
         name="unit-basis-c0",
-        space=sequence_space(),
+        is_scalar=False,
         description=(
             "x_n = e_n under the sup norm; the standard realization of a series "
             "whose subseries and rearrangement partial sums all share one bound"
@@ -178,7 +167,7 @@ _CATALOG: dict[str, SeriesOracle] = {
     ),
     "decaying-signed-c0": SeriesOracle(
         name="decaying-signed-c0",
-        space=sequence_space(),
+        is_scalar=False,
         description="x_n = (-1)^n e_ceil(n/2) / ceil(n/2) under the sup norm",
         liminf_norm_zero=True,
         limsup_norm_infinite=False,
@@ -189,7 +178,7 @@ _CATALOG: dict[str, SeriesOracle] = {
     ),
     "growing-real": SeriesOracle(
         name="growing-real",
-        space=real_line(),
+        is_scalar=True,
         description="x_n = (-1)^n * n, term norms blow up",
         liminf_norm_zero=False,
         limsup_norm_infinite=True,

@@ -1,7 +1,8 @@
 """Normed spaces and sparse, finitely supported vectors.
 
-Two concrete space models are supported: the real line and the sup-norm
-sequence space restricted to finite supports (it stands in for c0).
+A series lives on the real line or in the sup-norm sequence space
+restricted to finite supports (it stands in for c0); SeriesOracle.is_scalar
+tells which.
 """
 
 from __future__ import annotations
@@ -13,36 +14,6 @@ from typing import Mapping
 # floating point data.  All constructions in this package cross their
 # bounds with real slack, so 1e-9 separates rounding noise from failure.
 DELTA = 1e-9
-
-REAL_LINE = "real-line"
-SEQUENCE = "sequence"
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Ambient normed space descriptor: "real-line" (absolute value) or
-    "sequence" (sup norm)."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in (REAL_LINE, SEQUENCE):
-            raise ValueError(f"unknown space kind: {self.kind!r}")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.kind == REAL_LINE
-
-    def describe(self) -> str:
-        return "real line" if self.kind == REAL_LINE else "sequence space (sup norm)"
-
-
-def real_line() -> SpaceSpec:
-    return SpaceSpec(REAL_LINE)
-
-
-def sequence_space() -> SpaceSpec:
-    return SpaceSpec(SEQUENCE)
 
 
 @dataclass(frozen=True)
@@ -70,9 +41,6 @@ class FiniteSupportVector:
     def from_mapping(cls, data: Mapping[int, float]) -> "FiniteSupportVector":
         items = tuple(sorted((int(i), float(c)) for i, c in data.items() if c != 0.0))
         return cls(items)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
 
 def fsv(data: Mapping[int, float]) -> FiniteSupportVector:

@@ -120,9 +120,6 @@ class Checkpoint(NamedTuple):
     relation: str
     kind: str = "partial-sum"  # or "term-norm"
 
-    def holds(self) -> bool:
-        return bool(relation_holds(self.value, self.bound, self.relation))
-
 
 def _strings(column: str | Sequence[str] | np.ndarray, size: int) -> np.ndarray:
     """An object array of `size` strings; one string is repeated."""
@@ -157,11 +154,6 @@ class CheckpointColumns:
         for name, column in zip(self.__slots__, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-    @classmethod
-    def of(cls, rows: Iterable[Checkpoint]) -> "CheckpointColumns":
-        """The columns of Checkpoint rows."""
-        return cls(*(tuple(zip(*rows)) or ((),) * 5))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("checkpoint columns are immutable")
@@ -217,11 +209,6 @@ class WitnessCertificate:
     stage_boundaries: tuple[int, ...] = ()
     details: tuple[tuple[str, float | int | str], ...] = ()
 
-    def __post_init__(self) -> None:
-        # Checkpoint rows (a tuple, say) are taken as their columns
-        if not isinstance(self.checkpoints, CheckpointColumns):
-            object.__setattr__(self, "checkpoints", CheckpointColumns.of(self.checkpoints))
-
     def detail(self, name: str):
         for key, value in self.details:
             if key == name:
@@ -271,19 +258,6 @@ def _first_index(
     return None
 
 
-def _canonical_checkpoints(
-    series: SeriesOracle,
-    stem: IndexerStem,
-    positions: Sequence[int] | np.ndarray,
-    bounds: Sequence[float] | np.ndarray,
-    relations: str | Sequence[str],
-) -> CheckpointColumns:
-    """Recompute checkpoint values through the canonical engine so that
-    construction and verification agree bit for bit."""
-    values = norms_at(series, stem, positions)
-    return _checked_checkpoints(positions, bounds, relations, values)
-
-
 def _checked_checkpoints(
     positions: Sequence[int] | np.ndarray,
     bounds: Sequence[float] | np.ndarray,
@@ -294,7 +268,8 @@ def _checked_checkpoints(
     columns (one relation may stand for all) and the norm at each position;
     a norm that misses its relation raises ScanExhausted.
 
-    The constructions pass the norms their crossing scans read, and these
+    The constructions pass the norms their crossing scans read (an
+    interval witness reads its norms off its stem with norms_at), and these
     are the values norms_at gives on the final stem.  That stem is the
     scanned candidate's prefix through the crossing, perhaps closed into a
     bijection and extended by later stages, which only append runs.  Runs
@@ -438,64 +413,33 @@ def grow_unbounded_subseries(
     if target <= 0:
         raise PreconditionViolation("target must be positive")
     horizon = _horizon(series, search_horizon)
-    # Every candidate feeds one coordinate with one sign, so the running
-    # norm along them is |running sum| and climbs monotonically.  The sum is
-    # taken window by window, over the candidates among _BLOCK consecutive
-    # series indices.
     stream = provision_candidate_stream(series, horizon)
-    raw: list[tuple[int, float, str]] = []  # (position, bound, relation)
-    running = 0.0
-    count = 0
-    pending: list[float] | None = None
-    while count < len(stream):
-        lo = (stream.value_at(count + 1) - 1) // _BLOCK * _BLOCK
-        end = stream.first_position_above(lo + _BLOCK) or len(stream) + 1
-        terms = np.concatenate([series.run_coefficients(*run)
-                                for run in stream.slice_runs(count + 1, end - 1).tolist()])
-        csum = np.cumsum(terms, out=terms)
-        values = np.abs(running + csum)
-        if pending is None:
-            b = float(values[0])
-            if b <= DELTA:
-                raise ScanExhausted(
-                    "grow-subseries", "no term with positive norm", horizon
-                )
-            raw.append((count + 1, b, ">="))
-            pending = _threshold_chain(b, target)
-        done_at = None
-        while pending:
-            t = pending[0]
-            final = t == pending[-1] and t >= target
-            if final:
-                i = int(np.searchsorted(values, target + DELTA, side="right"))
-            else:
-                i = int(np.searchsorted(values, t, side="left"))
-            if i >= values.size:
-                break
-            raw.append((count + i + 1, t, ">" if final else ">="))
-            pending.pop(0)
-            if not pending:
-                done_at = i
-        if done_at is not None:
-            stem = SubseqStem._trusted(_resplit(stream.slice_runs(1, count + done_at + 1)))
-            if series.is_scalar:
-                strategy = (("strategy", "greedy-positive"),)
-            else:
-                strategy = (("strategy", "per-coordinate"), ("coordinate", 1))
-            return WitnessCertificate(
-                construction="grow-subseries",
-                series_name=series.name,
-                stem=stem,
-                checkpoints=_canonical_checkpoints(series, stem, *zip(*raw)),
-                details=(("target", float(target)),) + strategy,
-            )
-        running = float(running + csum[-1])
-        count += csum.size
-    raise ScanExhausted(
-        "grow-subseries",
-        f"target {target:g} not reached",
-        horizon,
-        best=abs(running),
+    final = crossing_scan(series, stream, [float(target)], strict=True, peak_from=1)
+    if not final.positions:
+        raise ScanExhausted(
+            "grow-subseries", f"target {target:g} not reached", horizon, best=final.peak
+        )
+    b = float(series.term_norms(stream.to_numpy(1))[0])  # the norm at position 1
+    if b <= DELTA:
+        raise ScanExhausted("grow-subseries", "no term with positive norm", horizon)
+    # Every candidate feeds one coordinate with one sign, so the running
+    # norm along them is |running sum| and climbs monotonically: each lower
+    # threshold is first reached at or before the target's crossing.
+    chain = _threshold_chain(b, target)
+    lower = crossing_scan(series, stream, [b, *chain[:-1]], end_pos=final.positions[0])
+    if series.is_scalar:
+        strategy = (("strategy", "greedy-positive"),)
+    else:
+        strategy = (("strategy", "per-coordinate"), ("coordinate", 1))
+    return WitnessCertificate(
+        construction="grow-subseries",
+        series_name=series.name,
+        stem=SubseqStem._trusted(_resplit(stream.slice_runs(1, final.positions[0]))),
+        checkpoints=_checked_checkpoints(
+            lower.positions + final.positions, [b, *chain], [">="] * len(chain) + [">"],
+            lower.values + final.values,
+        ),
+        details=(("target", float(target)),) + strategy,
     )
 
 
@@ -533,7 +477,7 @@ def subseries_to_rearrangement(
             construction="rearrangement",
             series_name=series.name,
             stem=RearrStem(()),
-            checkpoints=(),
+            checkpoints=CheckpointColumns((), (), (), ()),
             details=(("depth", 0),),
         )
     scan_end = min(len(stem), horizon)
@@ -777,12 +721,13 @@ def _interval_witness(
     """The certificate of a dense-open witness: every position of the
     interval [n_k, n_{k+1}) checked > m on the stem."""
     window = interval(seq, k)
+    positions = np.arange(window.start, window.stop)
     return WitnessCertificate(
         construction=construction,
         series_name=series.name,
         stem=stem,
-        checkpoints=_canonical_checkpoints(
-            series, stem, np.arange(window.start, window.stop), np.full(len(window), m), ">"
+        checkpoints=_checked_checkpoints(
+            positions, np.full(len(window), m), ">", norms_at(series, stem, positions)
         ),
         base=base,
         interval_index=k,
@@ -959,7 +904,7 @@ def limsup_subseries(
             construction="limsup-subseries",
             series_name=series.name,
             stem=SubseqStem(()),
-            checkpoints=(),
+            checkpoints=CheckpointColumns((), (), (), ()),
             details=(("depth", 0),),
         )
     horizon = _horizon(series, scan_horizon)
@@ -967,7 +912,9 @@ def limsup_subseries(
     term_norm = float(series.term_norms(np.array([1]))[0])
     sum_norms = norms_at(series, SubseqStem.from_values(picks), [1])
     sum_norm = float(sum_norms[0])
-    checkpoints: list[Checkpoint] = []
+    positions: list[int] = []
+    values: list[float] = []
+    bounds: list[float] = []
     for step in range(1, depth + 1):
         needed = max(term_norm, 2.0 * sum_norm)
         found = _first_index(
@@ -984,28 +931,23 @@ def limsup_subseries(
         stem = SubseqStem.from_values(picks)
         new_term = float(series.term_norms(np.array([found]))[0])
         new_sum = float(norms_at(series, stem, [len(picks)])[0])
-        checkpoints.append(
-            Checkpoint(len(picks), new_term, term_norm, ">", kind="term-norm")
-        )
-        checkpoints.append(
-            Checkpoint(len(picks), new_term, 2.0 * sum_norm, ">", kind="term-norm")
-        )
-        checkpoints.append(
-            Checkpoint(len(picks), new_sum, sum_norm, ">", kind="partial-sum")
-        )
+        positions += [len(picks)] * 3
+        values += [new_term, new_term, new_sum]
+        bounds += [term_norm, 2.0 * sum_norm, sum_norm]
         term_norm = new_term
         sum_norm = new_sum
-    stem = SubseqStem.from_values(picks)
-    for cp in checkpoints:
-        if not cp.holds():
-            raise ScanExhausted(
-                "limsup-subseries", "chain inequality failed on recompute", horizon
-            )
+    checkpoints = CheckpointColumns(
+        positions, values, bounds, ">", ["term-norm", "term-norm", "partial-sum"] * depth
+    )
+    if not relation_holds(checkpoints.value, checkpoints.bound, checkpoints.relation).all():
+        raise ScanExhausted(
+            "limsup-subseries", "chain inequality failed on recompute", horizon
+        )
     return WitnessCertificate(
         construction="limsup-subseries",
         series_name=series.name,
         stem=stem,
-        checkpoints=tuple(checkpoints),
+        checkpoints=checkpoints,
         details=(("depth", depth),),
     )
 

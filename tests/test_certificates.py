@@ -42,7 +42,6 @@ from serieswitness.runners import execute_config, resolve_config
 from serieswitness.series import catalog_series, norms_at
 from serieswitness.spaces import DELTA
 from serieswitness.witnesses import (
-    Checkpoint,
     CheckpointColumns,
     WitnessCertificate,
     verify_certificate,
@@ -187,6 +186,23 @@ def test_verdict_document_tampering(tmp_path):
     doc = document_for_verdict(verdict, indexer, config)
     doc["result"]["interval_count"] = 7
     assert verify_document(doc)
+
+
+def test_a_verdict_issue_names_at_most_five_intervals():
+    from serieswitness.certificates import document_for_verdict
+
+    # spelled whole, the recomputed list would be 408,927 characters long
+    config = resolve_config({"series": "alt-harmonic", "construction": "i-bounded",
+                             "ideal": "fin", "M": 0.45, "horizon": 60_000})
+    _, (verdict, indexer) = execute_config(config)
+    doc = document_for_verdict(verdict, indexer, config)
+    contained = doc["result"]["contained_intervals"]
+    doc["result"]["contained_intervals"] = []
+    issues = verify_document(doc)
+    assert issues == [
+        f"contained intervals recompute to {contained[:5]} and {len(contained) - 5} more"
+    ]
+    assert len(issues[0]) < 200
 
 
 def test_exhaustion_document_reruns(tmp_path):
@@ -386,6 +402,10 @@ def reference_checkpoint_issues(cert, series):
     return issues
 
 
+def _columns(rows):
+    return CheckpointColumns(*zip(*rows))
+
+
 def _tamperings(cps):
     cps = list(cps)
     yield "value", [cp._replace(value=cp.value + 1e-6) if i % 7 == 3 else cp
@@ -417,7 +437,7 @@ def test_tampered_checkpoints_give_the_loops_issues(config):
     assert len(cert.checkpoints) > 5
     assert verify_certificate(cert) == reference_checkpoint_issues(cert, series) == []
     for what, cps in _tamperings(cert.checkpoints):
-        tampered = dataclasses.replace(cert, checkpoints=tuple(cps))
+        tampered = dataclasses.replace(cert, checkpoints=_columns(cps))
         issues = verify_certificate(tampered)
         # without an interval, no position needs a checkpoint
         assert issues or (what == "dropped" and cert.interval is None), what
@@ -427,7 +447,7 @@ def test_tampered_checkpoints_give_the_loops_issues(config):
 def test_a_position_past_64_bits_is_an_issue_not_a_crash():
     _, cert = execute_config(resolve_config(AM_CONFIG))
     huge = cert.checkpoints[0]._replace(position=2**70)
-    tampered = dataclasses.replace(cert, checkpoints=(huge, *cert.checkpoints[1:]))
+    tampered = dataclasses.replace(cert, checkpoints=_columns([huge, *cert.checkpoints[1:]]))
     assert verify_certificate(tampered) == ["checkpoint position outside the 64-bit range"]
 
 
@@ -451,10 +471,7 @@ def test_a_huge_stage_boundary_is_checked_without_a_mask():
         construction="rearrangement",
         series_name=series.name,
         stem=stem,
-        checkpoints=(
-            Checkpoint(1, float(values[0]), 1.0, ">="),
-            Checkpoint(3, float(values[1]), 0.5, ">"),
-        ),
+        checkpoints=CheckpointColumns([1, 3], values, [1.0, 0.5], [">=", ">"]),
         stage_boundaries=(size,),
         details=(("depth", 1),),
     )

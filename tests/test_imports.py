@@ -102,3 +102,11 @@ def test_an_unread_private_name_is_found():
     )
     assert [n for n in private_definitions(source) if n not in read_names(source)] == [
         "_LEFT", "_Gone"]
+
+
+def test_only_the_engine_reads_run_coefficients():
+    # series.py sums terms in one place; another module reading the term
+    # rule along a run would be a second partial-sum loop
+    naming = [p.name for p in sorted(PACKAGE.glob("*.py")) if p.name != "series.py"
+              and "run_coefficients" in read_names(p.read_text(encoding="utf-8"))]
+    assert naming == []

@@ -15,7 +15,7 @@ from serieswitness.certificates import (
     payload_without_timing,
 )
 from serieswitness.runners import execute_config, resolve_config
-from serieswitness.series import catalog_names, catalog_series
+from serieswitness.series import catalog_names, catalog_series, norms_at
 from serieswitness.spaces import DELTA
 from serieswitness.stems import SubseqStem
 from serieswitness.witnesses import (
@@ -119,6 +119,12 @@ def reference_grow(series, target, horizon):
         # the last crossing lies in the sixth window
         ("alt-harmonic", 6.0, 400_000),
         ("growing-real", 1e6, 5_000),
+        # two checkpoints at one position: [1, 1], [1, 4, 31, 31], [1, 1]
+        # and [1, 2, 2]
+        ("alt-harmonic", 0.25, 10_000),
+        ("alt-harmonic", 2.001, 10_000),
+        ("growing-real", 1.5, 100),
+        ("growing-real", 5.0, 100),
         ("unit-basis-c0", 2.0, 3 * BLOCK + 5),
         ("decaying-signed-c0", 2.0, 3 * BLOCK + 5),
     ],
@@ -132,6 +138,17 @@ def test_grow_reads_the_stream_in_the_windows_of_the_mask_scan(name, target, hor
         assert exc.best == expected
     else:
         assert [cp.position for cp in cert.checkpoints] == expected
+
+
+def test_a_grow_exhaustion_reports_the_norm_at_the_last_candidate():
+    # 50,000 candidates, more than one block: the best norm is the engine's
+    # value at the last one, bit for bit
+    series = catalog_series("alt-harmonic")
+    with pytest.raises(ScanExhausted) as info:
+        grow_unbounded_subseries(series, 6.0, 100_000)
+    stream = provision_candidate_stream(series, 100_000)
+    last = norms_at(series, stream, [len(stream)])[0]
+    assert info.value.best.hex() == float(last).hex()
 
 
 # ---------------------------------------------------------------------------

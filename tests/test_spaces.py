@@ -1,11 +1,6 @@
 import pytest
 
-from serieswitness.spaces import FiniteSupportVector, SpaceSpec
-
-
-def test_invalid_spaces():
-    with pytest.raises(ValueError):
-        SpaceSpec("euclidean")
+from serieswitness.spaces import FiniteSupportVector
 
 
 def test_stored_entries_are_never_zero():

@@ -33,7 +33,7 @@ from serieswitness import (
 )
 from serieswitness.series import _BLOCK
 from serieswitness.stems import compress_values
-from serieswitness.witnesses import _first_index
+from serieswitness.witnesses import CheckpointColumns, _first_index, relation_holds
 
 from conftest import (
     alt_harmonic_term,
@@ -143,8 +143,8 @@ def test_grow_doubling_chain(alt):
         assert nxt == pytest.approx(min(2 * prev, 3.0))
     assert bounds[-1] == 3.0
     assert cert.checkpoints[-1].relation == ">"
-    for cp in cert.checkpoints:
-        assert cp.holds()
+    cps = cert.checkpoints
+    assert relation_holds(cps.value, cps.bound, cps.relation).all()
 
 
 def test_grow_growing_real(growing):
@@ -574,8 +574,8 @@ def test_limsup_growing_real(growing):
     term_cps = [cp for cp in cert.checkpoints if cp.kind == "term-norm"]
     sum_cps = [cp for cp in cert.checkpoints if cp.kind == "partial-sum"]
     assert len(term_cps) == 8 and len(sum_cps) == 4
-    for cp in cert.checkpoints:
-        assert cp.holds()
+    cps = cert.checkpoints
+    assert relation_holds(cps.value, cps.bound, cps.relation).all()
     # both chains strictly increase
     sums = [abs(v) for v in
             np.cumsum([growing_real_term(n) for n in [1, 3, 9, 27, 81]])]
@@ -614,7 +614,7 @@ def test_verify_rejects_tampering(growing):
         construction=cert.construction,
         series_name=cert.series_name,
         stem=cert.stem,
-        checkpoints=(bad_value, *cert.checkpoints[1:]),
+        checkpoints=CheckpointColumns(*zip(bad_value, *cert.checkpoints[1:])),
         stage_boundaries=cert.stage_boundaries,
         details=cert.details,
     )
@@ -647,7 +647,7 @@ def test_verify_rejects_a_nan_value(growing, kind):
         construction=cert.construction,
         series_name=cert.series_name,
         stem=cert.stem,
-        checkpoints=tuple(checkpoints),
+        checkpoints=CheckpointColumns(*zip(*checkpoints)),
         details=cert.details,
     )
     issues = verify_certificate(tampered)
